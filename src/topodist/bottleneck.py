@@ -166,36 +166,26 @@ def bottleneck_distance(
 
     inf1.sort(key=lambda i: d1.points[i][0])
     inf2.sort(key=lambda j: d2.points[j][0])
-    pairs: list[tuple[int | None, int | None]] = []
-    if len(inf1) != len(inf2):
-        # no finite-cost matching exists; still report a full witness, with
-        # the leftover infinite points forced to the diagonal at infinite cost
-        common = min(len(inf1), len(inf2))
-        pairs.extend(zip(inf1[:common], inf2[:common]))
-        pairs.extend((i, None) for i in inf1[common:])
-        pairs.extend((None, j) for j in inf2[common:])
-        _, fin_pairs = _finite_layer(
-            [d1.points[i] for i in fin1], [d2.points[j] for j in fin2]
-        )
-        for a, b in fin_pairs:
-            pairs.append(
-                (fin1[a] if a is not None else None, fin2[b] if b is not None else None)
-            )
-        return math.inf, Matching(tuple(pairs), math.inf)
-
-    inf_cost = 0.0
-    for i, j in zip(inf1, inf2):
-        pairs.append((i, j))
-        inf_cost = max(inf_cost, abs(d1.points[i][0] - d2.points[j][0]))
-
     fin_cost, fin_pairs = _finite_layer(
         [d1.points[i] for i in fin1], [d2.points[j] for j in fin2]
     )
-    for a, b in fin_pairs:
-        pairs.append(
-            (fin1[a] if a is not None else None, fin2[b] if b is not None else None)
-        )
-    return max(inf_cost, fin_cost), Matching(tuple(pairs), max(inf_cost, fin_cost))
+    fin_matched = [
+        (fin1[a] if a is not None else None, fin2[b] if b is not None else None)
+        for a, b in fin_pairs
+    ]
+    pairs: list[tuple[int | None, int | None]] = list(zip(inf1, inf2))
+    if len(inf1) != len(inf2):
+        # no finite-cost matching exists; still report a full witness, with
+        # the leftover infinite points forced to the diagonal at infinite cost
+        pairs.extend((i, None) for i in inf1[len(inf2) :])
+        pairs.extend((None, j) for j in inf2[len(inf1) :])
+        return math.inf, Matching(tuple(pairs + fin_matched), math.inf)
+
+    inf_cost = 0.0
+    for i, j in pairs:
+        inf_cost = max(inf_cost, abs(d1.points[i][0] - d2.points[j][0]))
+    cost = max(inf_cost, fin_cost)
+    return cost, Matching(tuple(pairs + fin_matched), cost)
 
 
 def bottleneck_bruteforce(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:

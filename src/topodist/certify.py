@@ -193,14 +193,37 @@ def _facet_completion_order(complex: SimplicialComplex) -> tuple[list[int], list
 
 
 def enumerate_simplicial_maps(
-    src: SimplicialComplex, dst: SimplicialComplex
+    src: SimplicialComplex,
+    dst: SimplicialComplex,
+    contiguous_to: tuple[int, ...] | None = None,
 ) -> list[tuple[int, ...]]:
-    """Vertex images of all simplicial maps src -> dst, sorted lexicographically."""
+    """Vertex images of all simplicial maps src -> dst, sorted lexicographically.
+
+    With ``contiguous_to`` (the vertex images of a map src -> dst), only the
+    maps contiguous to that map: for every facet, the two images together
+    must span a simplex of dst.  Every such map is simplicial, because its
+    own image of a facet is a face of that simplex.
+
+    A vertex's image must extend the base image of each facet containing it
+    to a simplex; that prefilter admits every vertex when no base map is
+    given.  Each facet is then checked exactly once, when its last vertex is
+    assigned.
+    """
     if src.vertex_count == 0:
         return [()]
     if dst.vertex_count == 0:
         return []
     order, complete_at = _facet_completion_order(src)
+    facets = maximal_simplices(src)
+    if contiguous_to is None:
+        base = dict.fromkeys(facets, frozenset())
+    else:
+        base = {facet: frozenset(contiguous_to[u] for u in facet) for facet in facets}
+    candidates = [set(range(dst.vertex_count)) for _ in range(src.vertex_count)]
+    for facet, span in base.items():
+        ext = {w for w in range(dst.vertex_count) if tuple(sorted(span | {w})) in dst.simplices}
+        for v in facet:
+            candidates[v] &= ext
     image = [0] * src.vertex_count
     found: list[tuple[int, ...]] = []
 
@@ -209,79 +232,16 @@ def enumerate_simplicial_maps(
             found.append(tuple(image))
             return
         v = order[i]
-        for w in range(dst.vertex_count):
+        for w in candidates[v]:
             image[v] = w
             if all(
-                tuple(sorted({image[u] for u in facet})) in dst.simplices
+                tuple(sorted(base[facet].union(image[u] for u in facet))) in dst.simplices
                 for facet in complete_at[i]
             ):
                 extend(i + 1)
 
     extend(0)
     return sorted(found)
-
-
-def _extension_vertices(complex: SimplicialComplex, s: frozenset[int]) -> tuple[int, ...]:
-    return tuple(
-        w
-        for w in range(complex.vertex_count)
-        if tuple(sorted(s | {w})) in complex.simplices
-    )
-
-
-def _contiguous_neighbors(
-    complex: SimplicialComplex,
-    m: tuple[int, ...],
-    ext_cache: dict[frozenset[int], tuple[int, ...]],
-    order: list[int],
-    complete_at: list[list[Simplex]],
-) -> list[tuple[int, ...]]:
-    """All simplicial self-maps contiguous to m.
-
-    Per-vertex candidates come from a necessary condition: for every facet F
-    containing v, the image m'(v) must extend m(F) to a simplex.  The joint
-    union condition is then checked exactly when each facet completes, which
-    also makes every generated neighbor simplicial (subsets of simplices are
-    simplices).
-    """
-    n = complex.vertex_count
-    candidates: list[tuple[int, ...]] = [()] * n
-    for v in range(n):
-        cand: set[int] | None = None
-        for facet in maximal_simplices(complex):
-            if v not in facet:
-                continue
-            key = frozenset(m[u] for u in facet)
-            ext = ext_cache.get(key)
-            if ext is None:
-                ext = _extension_vertices(complex, key)
-                ext_cache[key] = ext
-            cand = set(ext) if cand is None else cand & set(ext)
-            if not cand:
-                break
-        candidates[v] = tuple(sorted(cand)) if cand is not None else tuple(range(n))
-
-    image = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> None:
-        if i == len(order):
-            out.append(tuple(image))
-            return
-        v = order[i]
-        for w in candidates[v]:
-            image[v] = w
-            ok = True
-            for facet in complete_at[i]:
-                union = {m[u] for u in facet} | {image[u] for u in facet}
-                if tuple(sorted(union)) not in complex.simplices:
-                    ok = False
-                    break
-            if ok:
-                extend(i + 1)
-
-    extend(0)
-    return out
 
 
 def _chains_to_identity(
@@ -296,12 +256,10 @@ def _chains_to_identity(
     ident = tuple(range(complex.vertex_count))
     prev: dict[tuple[int, ...], tuple[int, ...] | None] = {ident: None}
     frontier = [ident]
-    ext_cache: dict[frozenset[int], tuple[int, ...]] = {}
-    order, complete_at = _facet_completion_order(complex)
     for _ in range(max_steps):
         new: list[tuple[int, ...]] = []
         for m in sorted(frontier):
-            for nb in _contiguous_neighbors(complex, m, ext_cache, order, complete_at):
+            for nb in enumerate_simplicial_maps(complex, complex, contiguous_to=m):
                 if nb not in prev:
                     prev[nb] = m
                     new.append(nb)
@@ -311,32 +269,37 @@ def _chains_to_identity(
     return prev
 
 
-def _chain_images(
-    prev: dict[tuple[int, ...], tuple[int, ...] | None], start: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    chain = [start]
-    while prev[chain[-1]] is not None:
-        chain.append(prev[chain[-1]])
-    return chain
+def _chain_from(
+    complex: SimplicialComplex,
+    prev: dict[tuple[int, ...], tuple[int, ...] | None],
+    start: tuple[int, ...],
+) -> ContiguityChain:
+    """The contiguity chain from ``start`` to the identity along BFS links."""
+    maps: list[SimplicialMap] = []
+    img: tuple[int, ...] | None = start
+    while img is not None:
+        maps.append(SimplicialMap(complex, complex, img))
+        img = prev[img]
+    return ContiguityChain(tuple(maps))
 
 
-def _sweep_excess(
-    chain_imgs: list[tuple[int, ...]], fc: FilteredComplex
-) -> list[float]:
-    """Per vertex: (value swept by the chain through it) - (its own value)."""
-    values = fc.filtration
-    out: list[float] = []
-    for v in range(fc.complex.vertex_count):
-        imgs = [m[v] for m in chain_imgs]
-        bound = max(values[(w,)] for w in imgs)
-        for a, b in zip(imgs, imgs[1:]):
-            if a != b:
-                bound = max(bound, values[(min(a, b), max(a, b))])
-        out.append(bound - values[(v,)])
-    return out
+def _control_excess(
+    fc: FilteredComplex,
+    prev: dict[tuple[int, ...], tuple[int, ...] | None],
+    h: tuple[int, ...],
+    memo: dict[tuple[int, ...], tuple[float, ...]],
+) -> tuple[float, ...]:
+    """Per vertex: the value swept by h's chain to the identity minus the
+    vertex's own value, as check_certificate computes it; memoised per h."""
+    excess = memo.get(h)
+    if excess is None:
+        f = fc.vertex_values()
+        bounds = homotopy_sup_control(_chain_from(fc.complex, prev, h), fc)
+        excess = memo[h] = tuple(bound - f[v] for v, bound in enumerate(bounds))
+    return excess
 
 
-def _min_eps(shift_diffs: list[float], control_excess: list[float], factor: float) -> float:
+def _min_eps(shift_diffs: list[float], control_excess: tuple[float, ...], factor: float) -> float:
     """Least eps with every shift diff <= eps and every excess <= factor*eps,
     exactly as the checker will recompute them."""
     eps = 0.0
@@ -365,10 +328,16 @@ def search_certificate(
 
     For every simplicial pair (phi, psi) whose round trips reach the identity
     in the contiguity graph within max_chain_len maps, the least certified
-    eps is a closed-form max of shift and control violations.  Returns the
-    minimum over all pairs and the witnessing certificate, choosing the
-    lexicographically smallest (phi, psi) among minimizers; (inf, None) when
-    no round trip reaches the identity within the chain budget.
+    eps is a closed-form max of shift and control violations.  The control
+    side is the sweep of each round trip's shortest chain to the identity,
+    taken from homotopy_sup_control (the checker's own function) once per
+    distinct round trip.  Returns the minimum over all pairs and the
+    witnessing certificate, choosing the lexicographically smallest
+    (phi, psi) among minimizers; (inf, None) when no round trip reaches the
+    identity within the chain budget.
+
+    The witness is run through check_certificate before it is returned; a
+    failure there is a bug in the search and raises AssertionError.
     """
     if max_chain_len < 1:
         raise ValueError("max_chain_len must be at least 1")
@@ -385,6 +354,8 @@ def search_certificate(
         return math.inf, None
     reach_x = _chains_to_identity(X, max_chain_len - 1)
     reach_y = _chains_to_identity(Y, max_chain_len - 1)
+    excess_x: dict[tuple[int, ...], tuple[float, ...]] = {}
+    excess_y: dict[tuple[int, ...], tuple[float, ...]] = {}
 
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     for phi_img in maps_xy:
@@ -399,9 +370,9 @@ def search_certificate(
             if hy not in reach_y:
                 continue
             shifts = phi_shifts + [f[psi_img[w]] - g[w] for w in range(len(g))]
-            excess = _sweep_excess(_chain_images(reach_x, hx), fx)
-            excess += _sweep_excess(_chain_images(reach_y, hy), fy)
-            eps = _min_eps(shifts, excess, control_factor)
+            ex = _control_excess(fx, reach_x, hx, excess_x)
+            ey = _control_excess(fy, reach_y, hy, excess_y)
+            eps = _min_eps(shifts, ex + ey, control_factor)
             key = (eps, phi_img, psi_img)
             if best is None or key < best:
                 best = key
@@ -409,21 +380,19 @@ def search_certificate(
         return math.inf, None
 
     eps, phi_img, psi_img = best
-    phi = SimplicialMap(X, Y, phi_img)
-    psi = SimplicialMap(Y, X, psi_img)
-    chain_x = ContiguityChain(
-        tuple(
-            SimplicialMap(X, X, img)
-            for img in _chain_images(reach_x, tuple(psi_img[w] for w in phi_img))
-        )
+    cert = ShiftCertificate(
+        SimplicialMap(X, Y, phi_img),
+        SimplicialMap(Y, X, psi_img),
+        eps,
+        _chain_from(X, reach_x, tuple(psi_img[w] for w in phi_img)),
+        _chain_from(Y, reach_y, tuple(phi_img[v] for v in psi_img)),
+        control_factor,
     )
-    chain_y = ContiguityChain(
-        tuple(
-            SimplicialMap(Y, Y, img)
-            for img in _chain_images(reach_y, tuple(phi_img[v] for v in psi_img))
+    outcome = check_certificate(fx, fy, cert)
+    if not outcome.ok:
+        raise AssertionError(
+            f"search built a certificate that fails {outcome.condition}: {outcome.detail}"
         )
-    )
-    cert = ShiftCertificate(phi, psi, eps, chain_x, chain_y, control_factor)
     return eps, cert
 
 

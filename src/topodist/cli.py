@@ -22,7 +22,7 @@ from .certify import (
     upshift_asymmetry_probe,
     verify_stability,
 )
-from .common import ParseError, SizeGuardExceeded, fmt_sig
+from .common import fmt_sig
 from .complexes import load_instance, lower_star
 from .corpus import run_corpus
 from .mergetree import (
@@ -182,11 +182,7 @@ def cmd_dht_probe(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    try:
-        report = run_corpus(args.directory)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_corpus(args.directory)
     for pair in report.pairs:
         for name in sorted(pair.values):
             print(f"{pair.name}\tvalue\t{name}\t{fmt_sig(pair.values[name])}")
@@ -293,12 +289,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SizeGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

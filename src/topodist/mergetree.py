@@ -285,12 +285,12 @@ def _compositions_ok(
 
 
 def check_interleaving(
-    t1: MergeTree, t2: MergeTree, eps: float, return_witness: bool = False
-):
+    t1: MergeTree, t2: MergeTree, eps: float
+) -> tuple[dict[int, int], dict[int, int]] | None:
     """Decide whether an eps-interleaving of the two trees exists.
 
-    With return_witness=True returns (bool, (fwd, back)) where the maps give
-    each source node's carrier in the other tree, or (False, None).
+    Returns a witness (fwd, back), whose maps give each source node's carrier
+    in the other tree, or None when no eps-interleaving exists.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
@@ -301,8 +301,8 @@ def check_interleaving(
                 if _compositions_ok(t1, t2, fwd, back, eps) and _compositions_ok(
                     t2, t1, back, fwd, eps
                 ):
-                    return (True, (fwd, back)) if return_witness else True
-    return (False, None) if return_witness else False
+                    return fwd, back
+    return None
 
 
 def interleaving_candidates(t1: MergeTree, t2: MergeTree) -> list[float]:

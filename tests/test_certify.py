@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import pytest
 
+import topodist.certify
 from topodist.bottleneck import linf_distance
 from topodist.common import ParseError, SizeGuardExceeded
 from topodist.certify import (
     CONDITIONS,
+    CertificateCheck,
     ShiftCertificate,
     check_certificate,
     enumerate_simplicial_maps,
@@ -23,6 +25,7 @@ from topodist.complexes import (
     VertexFunction,
     build_complex,
     check_simplicial,
+    contiguous,
     identity_map,
     lower_star,
 )
@@ -155,8 +158,25 @@ def test_search_deterministic():
     assert len({format_certificate(r[1]) for r in runs}) == 1
 
 
+def assert_contiguous_mode_matches_checker(K, bases):
+    """enumerate_simplicial_maps(K, K, base) against brute force over all
+    self-maps, filtered by the checker's simpliciality and contiguity tests."""
+    n = K.vertex_count
+    all_self = [tuple((code // n**v) % n for v in range(n)) for code in range(n**n)]
+    for base in bases:
+        base_map = SimplicialMap(K, K, base)
+        expected = sorted(
+            img
+            for img in all_self
+            if check_simplicial(SimplicialMap(K, K, img))
+            and contiguous(base_map, SimplicialMap(K, K, img))
+        )
+        assert enumerate_simplicial_maps(K, K, base) == expected
+
+
 def test_enumerate_simplicial_maps_all_simplicial():
     rng = random.Random(5)
+    pick = random.Random(11)
     for _ in range(10):
         src = random_complex(rng, max_vertices=4)
         dst = random_complex(rng, max_vertices=4)
@@ -175,6 +195,28 @@ def test_enumerate_simplicial_maps_all_simplicial():
             )
         )
         assert len(images) == brute
+        self_maps = enumerate_simplicial_maps(src, src)
+        assert_contiguous_mode_matches_checker(
+            src, pick.sample(self_maps, min(3, len(self_maps)))
+        )
+    # cycles, where two images can each extend a facet's base image to a
+    # simplex without extending it jointly; every self-map serves as a base
+    for K in (
+        build_complex([[0, 1], [1, 2], [0, 2]]),
+        build_complex([[0, 1], [1, 2], [2, 3], [0, 3]]),
+    ):
+        assert_contiguous_mode_matches_checker(K, enumerate_simplicial_maps(K, K))
+
+
+def test_search_raises_on_a_witness_the_checker_rejects(monkeypatch):
+    monkeypatch.setattr(
+        topodist.certify,
+        "check_certificate",
+        lambda fx, fy, cert: CertificateCheck(False, "control_x", "rejected"),
+    )
+    fx, fy, _ = point_edge_setup()
+    with pytest.raises(AssertionError, match="control_x"):
+        search_certificate(fx, fy)
 
 
 def test_verify_stability_point_edge():

@@ -172,6 +172,16 @@ def test_dht_search_byte_identical_across_runs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_dht_search_size_guard_exit_2(tmp_path, capsys):
+    path8 = tmp_path / "path8.txt"
+    lines = ["n 8", *(str(i) for i in range(8)), *(f"s {i} {i + 1}" for i in range(7))]
+    path8.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, ["dht", "search", str(path8), str(path8)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "6 vertices" in err
+
+
 def test_dht_stability(capsys):
     code, out, _ = run(capsys, ["dht", "stability", PATH_X, PATH_Y, PATH_CERT])
     assert code == 0

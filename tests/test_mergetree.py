@@ -96,11 +96,10 @@ def test_check_interleaving_rejects_negative_eps():
 
 
 def test_interleaving_witness_shape():
-    ok, witness = check_interleaving(path_tree(), branch_tree(), 0.5, return_witness=True)
-    assert ok
-    fwd, back = witness
+    fwd, back = check_interleaving(path_tree(), branch_tree(), 0.5)
     assert set(fwd) == set(path_tree().heights)
     assert set(back) == {0}
+    assert check_interleaving(path_tree(), branch_tree(), 0.49) is None
 
 
 def test_interleaving_distance_examples():
