@@ -3,9 +3,20 @@ enumerative upper bound for the natural pseudo-distance.
 
 The bottleneck optimum is found by binary search over the finite set of
 candidate costs (all pairwise costs and all diagonal costs); the optimum is
-always one of these, so the result is exact with no tolerance.  Feasibility
-at a threshold is a maximum bipartite matching on the usual doubled graph
-where each diagram gets one diagonal copy per point of the other diagram.
+always one of these, so the result is exact with no tolerance.
+
+Feasibility at a threshold t is one-sided.  A point is *forced* at t when
+its diagonal cost exceeds t; any other point may go to the diagonal.  So t is
+feasible iff the pairs of cost <= t hold one matching that covers every
+forced point of both diagrams.  The search covers the forced points of the
+first diagram, then those of the second, on the same matching
+(Mendelsohn-Dulmage).  Its alternating paths end at a free point, or at a
+matched non-forced point whose pair is dropped; either way every covered
+point stays covered, so a covering matching is found whenever one exists.
+Each probe starts from the last feasible matching minus its pairs that cost
+more than t.  The dropped-pair ending is what makes that warm start
+complete: a kept pair may hold a non-forced point on the only edge a forced
+point can use.
 
 Points with infinite death form a separate layer: they may only match each
 other (at |birth1 - birth2|), and mismatched counts make the distance
@@ -15,8 +26,9 @@ infinite.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, islice, permutations
 from typing import Sequence
 
 from .common import SizeGuardExceeded
@@ -37,60 +49,11 @@ class Matching:
 
 
 def _pair_cost(p: tuple[float, float], q: tuple[float, float]) -> float:
-    p_inf, q_inf = math.isinf(p[1]), math.isinf(q[1])
-    if p_inf != q_inf:
-        return math.inf
-    if p_inf:
-        return abs(p[0] - q[0])
     return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
 def _diagonal_cost(p: tuple[float, float]) -> float:
-    if math.isinf(p[1]):
-        return math.inf
     return (p[1] - p[0]) / 2.0
-
-
-def _max_matching(adj: list[list[int]], n_right: int) -> tuple[int, list[int]]:
-    """Augmenting-path maximum matching; returns (size, right match per left).
-
-    Iterative DFS: alternating paths can get as long as the vertex count, so
-    recursion is not safe at a few hundred diagram points.
-    """
-    match_left = [-1] * len(adj)
-    match_right = [-1] * n_right
-
-    def augment(root: int) -> bool:
-        seen = [False] * n_right
-        prev_right: dict[int, int] = {}
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, edges = stack[-1]
-            for v in edges:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                prev_right[v] = u
-                w = match_right[v]
-                if w == -1:
-                    while v != -1:  # flip the alternating path back to the root
-                        u2 = prev_right[v]
-                        old = match_left[u2]
-                        match_left[u2] = v
-                        match_right[v] = u2
-                        v = old
-                    return True
-                stack.append((w, iter(adj[w])))
-                break
-            else:
-                stack.pop()
-        return False
-
-    size = 0
-    for u in range(len(adj)):
-        if augment(u):
-            size += 1
-    return size, match_left
 
 
 def _finite_layer(
@@ -98,53 +61,79 @@ def _finite_layer(
 ) -> tuple[float, list[tuple[int | None, int | None]]]:
     """Optimal bottleneck matching of finite points, diagonal allowed.
 
-    Left vertices: the points of pts1 then one diagonal copy per point of
-    pts2.  Right vertices: the points of pts2 then one diagonal copy per
-    point of pts1.  Diagonal copies pair with their own point when its
-    diagonal cost clears the threshold, and with each other for free.
+    Vertices 0..n1-1 are the points of pts1 and n1.. those of pts2; mate[v]
+    is v's partner or -1 (the diagonal).  Each vertex's neighbours are sorted
+    once by pair cost, so its edges at a threshold are a prefix of that list;
+    cheapest first also keeps the alternating paths short.
     """
-    n1, n2 = len(pts1), len(pts2)
-    if n1 == 0 and n2 == 0:
-        return 0.0, []
-    cost = [[_pair_cost(p, q) for q in pts2] for p in pts1]
-    diag1 = [_diagonal_cost(p) for p in pts1]
-    diag2 = [_diagonal_cost(q) for q in pts2]
-    candidates = sorted({0.0, *diag1, *diag2, *(c for row in cost for c in row)})
+    n1 = len(pts1)
+    cost = [[max(b - y, y - b, d - z, z - d) for y, z in pts2] for b, d in pts1]
+    diag = [(d - b) / 2.0 for b, d in pts1 + pts2]
+    candidates = sorted({0.0, *diag, *chain.from_iterable(cost)})
+    # rows[v][k]: cost from v to vertex base[v] + k of the other diagram
+    rows = cost + ([list(col) for col in zip(*cost)] if cost else [[] for _ in pts2])
+    base = [n1] * n1 + [0] * len(pts2)
+    order = [sorted(range(len(row)), key=row.__getitem__) for row in rows]
 
-    def adjacency(threshold: float) -> list[list[int]]:
-        adj: list[list[int]] = []
+    def probe(t: float, warm: list[int]) -> list[int] | None:
+        """A matching at t covering every forced point, or None."""
+        forced = [c > t for c in diag]
+        degree = [bisect_right(o, t, key=row.__getitem__) for o, row in zip(order, rows)]
+        mate = [-1] * len(diag)
         for i in range(n1):
-            row = [j for j in range(n2) if cost[i][j] <= threshold]
-            if diag1[i] <= threshold:
-                row.append(n2 + i)
-            adj.append(row)
-        for j in range(n2):
-            row = list(range(n2, n2 + n1))  # diagonal-to-diagonal is free
-            if diag2[j] <= threshold:
-                row.insert(0, j)
-            adj.append(row)
-        return adj
+            j = warm[i]
+            if j != -1 and cost[i][j - n1] <= t:
+                mate[i], mate[j] = j, i
+        # ids run over pts1 first: cover its forced points, then those of pts2
+        for root, must in enumerate(forced):
+            if must and mate[root] == -1 and not augment(root, forced, degree, mate):
+                return None
+        return mate
 
-    def feasible(threshold: float) -> bool:
-        size, _ = _max_matching(adjacency(threshold), n1 + n2)
-        return size == n1 + n2
+    def augment(root: int, forced: list[bool], degree: list[int], mate: list[int]) -> bool:
+        """Cover root by an alternating path (iterative DFS: paths can be as
+        long as the vertex count).  The path ends at a free vertex or at a
+        non-forced one whose edge is dropped, so every covered forced vertex
+        stays covered."""
+        seen = bytearray(len(mate))
+        prev: dict[int, int] = {}
+        stack = [(root, map(base[root].__add__, islice(order[root], degree[root])))]
+        while stack:
+            u, edges = stack[-1]
+            for v in edges:
+                if seen[v]:
+                    continue
+                seen[v] = 1
+                prev[v] = u
+                w = mate[v]
+                if w != -1 and forced[w]:
+                    stack.append((w, map(base[w].__add__, islice(order[w], degree[w]))))
+                    break
+                if w != -1:
+                    mate[w] = -1
+                while v != -1:  # flip the alternating path back to the root
+                    u = prev[v]
+                    mate[u], mate[v], v = v, u, mate[u]
+                return True
+            else:
+                stack.pop()
+        return False
 
+    mate = [-1] * len(diag)  # the last feasible matching: each probe's warm start
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
+        found = probe(candidates[mid], mate)
+        if found is None:
             lo = mid + 1
+        else:
+            hi, mate = mid, found
     best = candidates[lo]
-    _, match_left = _max_matching(adjacency(best), n1 + n2)
-    pairs: list[tuple[int | None, int | None]] = []
-    for i in range(n1):
-        v = match_left[i]
-        pairs.append((i, v) if v < n2 else (i, None))
-    for j in range(n2):
-        if match_left[n1 + j] == j:
-            pairs.append((None, j))
+    mate = probe(best, mate)
+    pairs: list[tuple[int | None, int | None]] = [
+        (i, mate[i] - n1 if mate[i] != -1 else None) for i in range(n1)
+    ]
+    pairs.extend((None, j - n1) for j in range(n1, len(mate)) if mate[j] == -1)
     return best, pairs
 
 

@@ -80,6 +80,16 @@ def random_monotone_filtered(
     return FilteredComplex(complex, filtration)
 
 
+def grid_complex(side: int) -> SimplicialComplex:
+    """A side x side vertex grid, two triangles per square."""
+    triangles: list[list[int]] = []
+    for r in range(side - 1):
+        for c in range(side - 1):
+            a = r * side + c
+            triangles += [[a, a + 1, a + side + 1], [a, a + side, a + side + 1]]
+    return build_complex(triangles, vertex_count=side * side, max_dim=2)
+
+
 def random_diagram(
     rng: random.Random, max_points: int = 6, infinite_rate: float = 0.25
 ) -> PersistenceDiagram:
@@ -90,4 +100,19 @@ def random_diagram(
             points.append((birth, math.inf))
         else:
             points.append((birth, birth + rng.randint(1, 128) / 64.0))
+    return PersistenceDiagram(0, tuple(points))
+
+
+def tied_diagram(
+    rng: random.Random, max_points: int = 6, infinite_rate: float = 0.1
+) -> PersistenceDiagram:
+    """Points on a coarse quarter grid: many equal pair and diagonal costs,
+    duplicate points, and points whose diagonal cost equals a pair cost."""
+    points = []
+    for _ in range(rng.randint(0, max_points)):
+        birth = rng.randint(0, 4) / 4.0
+        if rng.random() < infinite_rate:
+            points.append((birth, math.inf))
+        else:
+            points.append((birth, birth + rng.randint(1, 4) / 4.0))
     return PersistenceDiagram(0, tuple(points))
