@@ -18,8 +18,12 @@ find one never means the distance is infinite.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
+from functools import partial, reduce
+from operator import itemgetter, or_
 from pathlib import Path
+from typing import Callable
 
 from .bottleneck import bottleneck_distance
 from .common import ParseError, SizeGuardExceeded, content_lines, fmt_value, parse_int, parse_value
@@ -193,55 +197,56 @@ def _facet_completion_order(complex: SimplicialComplex) -> tuple[list[int], list
 
 
 def enumerate_simplicial_maps(
-    src: SimplicialComplex,
-    dst: SimplicialComplex,
-    contiguous_to: tuple[int, ...] | None = None,
+    src: SimplicialComplex, dst: SimplicialComplex
 ) -> list[tuple[int, ...]]:
-    """Vertex images of all simplicial maps src -> dst, sorted lexicographically.
+    """Vertex images of all simplicial maps src -> dst, sorted lexicographically."""
+    found: list[tuple[int, ...]] = []
+    _each_simplicial_map(src, dst, lambda image: found.append(tuple(image)))
+    found.sort()
+    return found
 
-    With ``contiguous_to`` (the vertex images of a map src -> dst), only the
-    maps contiguous to that map: for every facet, the two images together
-    must span a simplex of dst.  Every such map is simplicial, because its
-    own image of a facet is a face of that simplex.
 
-    A vertex's image must extend the base image of each facet containing it
-    to a simplex; that prefilter admits every vertex when no base map is
-    given.  Each facet is then checked exactly once, when its last vertex is
-    assigned.
+def _each_simplicial_map(
+    src: SimplicialComplex, dst: SimplicialComplex, visit: Callable[[list[int]], None]
+) -> None:
+    """Call ``visit`` with the vertex images of every simplicial map src -> dst,
+    in no particular order; the list is reused between calls.
+
+    Each facet is checked exactly once, when its last vertex is assigned.
     """
     if src.vertex_count == 0:
-        return [()]
+        visit([])
+        return
     if dst.vertex_count == 0:
-        return []
+        return
     order, complete_at = _facet_completion_order(src)
-    facets = maximal_simplices(src)
-    if contiguous_to is None:
-        base = dict.fromkeys(facets, frozenset())
-    else:
-        base = {facet: frozenset(contiguous_to[u] for u in facet) for facet in facets}
-    candidates = [set(range(dst.vertex_count)) for _ in range(src.vertex_count)]
-    for facet, span in base.items():
-        ext = {w for w in range(dst.vertex_count) if tuple(sorted(span | {w})) in dst.simplices}
-        for v in facet:
-            candidates[v] &= ext
+    spans = _spans(dst)
+    # a single vertex always maps to a simplex
+    checks = [[facet for facet in facets if len(facet) > 1] for facets in complete_at]
+    targets = range(dst.vertex_count)
     image = [0] * src.vertex_count
-    found: list[tuple[int, ...]] = []
+    at = image.__getitem__
 
     def extend(i: int) -> None:
         if i == len(order):
-            found.append(tuple(image))
+            visit(image)
             return
         v = order[i]
-        for w in candidates[v]:
+        facets = checks[i]
+        for w in targets:
             image[v] = w
-            if all(
-                tuple(sorted(base[facet].union(image[u] for u in facet))) in dst.simplices
-                for facet in complete_at[i]
-            ):
+            for facet in facets:
+                if frozenset(map(at, facet)) not in spans:
+                    break
+            else:
                 extend(i + 1)
 
     extend(0)
-    return sorted(found)
+
+
+def _spans(complex: SimplicialComplex) -> set[frozenset[int]]:
+    """The simplices of the complex as vertex sets."""
+    return {frozenset(s) for s in complex.simplices}
 
 
 def _chains_to_identity(
@@ -249,24 +254,81 @@ def _chains_to_identity(
 ) -> dict[tuple[int, ...], tuple[int, ...] | None]:
     """BFS from the identity in the contiguity graph of simplicial self-maps.
 
-    Returns predecessor links: for each reachable map, the neighbor one step
-    closer to the identity (None for the identity itself).  Reversing the
-    links yields a shortest contiguity chain ending at the identity.
+    Returns predecessor links: for each reachable map, the smallest map one
+    step closer to the identity that it is contiguous to (None for the
+    identity itself).  Reversing the links yields a shortest contiguity
+    chain ending at the identity.
+
+    The graph spans all self-maps at once, as bitmasks over their indices:
+    per facet, the maps are grouped by image set, and each image set A gets
+    the OR of the groups of every image set B with A | B a simplex.  A map's
+    neighbours are the AND of those masks over its facets.  Keying by image
+    set, not by image tuple, keeps that table at (distinct sets)^2 entries.
+    The self-maps are kept as one flat array, and only reached ones become
+    tuples.
     """
-    ident = tuple(range(complex.vertex_count))
+    n = complex.vertex_count
+    ident = tuple(range(n))
     prev: dict[tuple[int, ...], tuple[int, ...] | None] = {ident: None}
+    if max_steps == 0 or n == 0:
+        return prev
+    facets = maximal_simplices(complex)
+    # the repeated first vertex makes a one-vertex facet's image a tuple too
+    images_of = [itemgetter(*facet, facet[0]) for facet in facets]
+    by_tuple: list[dict[tuple[int, ...], array[int]]] = [{} for _ in facets]
+    flat = array("I")
+
+    def record(image: list[int]) -> None:
+        i = len(flat) // n
+        flat.extend(image)
+        for image_of, groups in zip(images_of, by_tuple):
+            groups.setdefault(image_of(image), array("I")).append(i)
+
+    _each_simplicial_map(complex, complex, record)
+    count = len(flat) // n
+    spans = _spans(complex)
+    tables = []
+    for facet, groups in zip(facets, by_tuple):
+        members: dict[frozenset[int], array[int]] = {}
+        for image, indices in groups.items():
+            members.setdefault(frozenset(image), array("I")).extend(indices)
+        masks = {a: _bitmask(indices, count) for a, indices in members.items()}
+        tables.append((facet, {
+            a: reduce(or_, (mask for b, mask in masks.items() if (a | b) in spans), 0)
+            for a in masks
+        }))
+
+    every = (1 << count) - 1
+    seen = 0
     frontier = [ident]
     for _ in range(max_steps):
         new: list[tuple[int, ...]] = []
         for m in sorted(frontier):
-            for nb in enumerate_simplicial_maps(complex, complex, contiguous_to=m):
-                if nb not in prev:
+            fresh = every
+            for facet, joins in tables:
+                fresh &= joins[frozenset(map(m.__getitem__, facet))]
+            fresh &= ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                j = low.bit_length() - 1
+                nb = tuple(flat[j * n : (j + 1) * n])
+                if nb not in prev:  # the identity's bit is not in seen at first
                     prev[nb] = m
                     new.append(nb)
+                fresh ^= low
         if not new:
             break
         frontier = new
     return prev
+
+
+def _bitmask(indices: array[int], size: int) -> int:
+    """The int with bit i set for every i in ``indices``."""
+    bits = bytearray((size + 7) // 8)
+    for i in indices:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _chain_from(
@@ -286,8 +348,8 @@ def _chain_from(
 def _control_excess(
     fc: FilteredComplex,
     prev: dict[tuple[int, ...], tuple[int, ...] | None],
-    h: tuple[int, ...],
     memo: dict[tuple[int, ...], tuple[float, ...]],
+    h: tuple[int, ...],
 ) -> tuple[float, ...]:
     """Per vertex: the value swept by h's chain to the identity minus the
     vertex's own value, as check_certificate computes it; memoised per h."""
@@ -299,13 +361,10 @@ def _control_excess(
     return excess
 
 
-def _min_eps(shift_diffs: list[float], control_excess: tuple[float, ...], factor: float) -> float:
-    """Least eps with every shift diff <= eps and every excess <= factor*eps,
-    exactly as the checker will recompute them."""
-    eps = 0.0
-    for d in shift_diffs:
-        if d > eps:
-            eps = d
+def _min_eps(shift: float, control_excess: tuple[float, ...], factor: float) -> float:
+    """Least eps >= shift (the largest shift diff, at least 0) with every
+    excess <= factor*eps, exactly as the checker will recompute them."""
+    eps = shift
     for d in control_excess:
         if d <= factor * eps:
             continue
@@ -317,6 +376,25 @@ def _min_eps(shift_diffs: list[float], control_excess: tuple[float, ...], factor
     return eps
 
 
+def _factor_through(
+    slots: tuple[int, ...], reach: dict[tuple[int, ...], tuple[int, ...] | None]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The maps h in ``reach`` of the form h(v) = r[slots[v]], and a section
+    that reads r off such an h as tuple(h[u] for u in section).
+
+    For a(v) = image[slots[v]], b.a = h holds exactly when b takes the
+    values r on image; r exists only when h is constant on every fibre of a
+    (the vertices that share a slot).
+    """
+    section = [slots.index(k) for k in range(len(set(slots)))]
+    trips = []
+    for h in reach:
+        restriction = tuple(map(h.__getitem__, section))
+        if tuple(map(restriction.__getitem__, slots)) == h:
+            trips.append(h)
+    return section, trips
+
+
 def search_certificate(
     fx: FilteredComplex,
     fy: FilteredComplex,
@@ -324,7 +402,7 @@ def search_certificate(
     control_factor: float = DEFAULT_CONTROL_FACTOR,
     vertex_guard: int = SEARCH_VERTEX_GUARD,
 ) -> tuple[float, ShiftCertificate | None]:
-    """Enumerate map pairs and certify the best shift found.
+    """Search simplicial map pairs and certify the best shift found.
 
     For every simplicial pair (phi, psi) whose round trips reach the identity
     in the contiguity graph within max_chain_len maps, the least certified
@@ -335,6 +413,10 @@ def search_certificate(
     witnessing certificate, choosing the lexicographically smallest
     (phi, psi) among minimizers; (inf, None) when no round trip reaches the
     identity within the chain budget.
+
+    The pairs come from a join, not the full product: a reachable round
+    trip psi.phi fixes psi on image(phi), so the candidates for psi are
+    looked up by their restriction to that set.
 
     The witness is run through check_certificate before it is returned; a
     failure there is a bug in the search and raises AssertionError.
@@ -354,38 +436,71 @@ def search_certificate(
         return math.inf, None
     reach_x = _chains_to_identity(X, max_chain_len - 1)
     reach_y = _chains_to_identity(Y, max_chain_len - 1)
-    excess_x: dict[tuple[int, ...], tuple[float, ...]] = {}
-    excess_y: dict[tuple[int, ...], tuple[float, ...]] = {}
+    shift_xy = {phi: max([0.0, *(g[w] - f[v] for v, w in enumerate(phi))]) for phi in maps_xy}
+    shift_yx = {psi: max([0.0, *(f[v] - g[w] for w, v in enumerate(psi))]) for psi in maps_yx}
+    excess_x = partial(_control_excess, fx, reach_x, {})
+    excess_y = partial(_control_excess, fy, reach_y, {})
+    # An outer map a and a reachable round trip b.a = h pin the inner map b
+    # on image(a), so b is looked up by that restriction instead of tried
+    # against each a.  The outer side is the one with fewer reachable round
+    # trips; the result does not depend on the choice.  Outer maps are taken
+    # one image set at a time, so one restriction index is alive at a time.
+    sides = [(maps_xy, shift_xy, reach_x, excess_x), (maps_yx, shift_yx, reach_y, excess_y)]
+    flip = len(reach_y) < len(reach_x)
+    (outer, shift_o, reach_o, excess_o), (inner, shift_i, reach_i, excess_i) = (
+        sides[::-1] if flip else sides
+    )
+    by_image: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for a in outer:
+        by_image.setdefault(tuple(sorted(set(a))), []).append(a)
+    pinned: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
 
+    # A pair's eps is at least both shifts, and control_factor * eps is at
+    # least every excess, so the skips below drop only pairs whose eps is
+    # above the best so far; ties fall through to the (phi, psi) order.
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
-    for phi_img in maps_xy:
-        phi_shifts = [g[phi_img[v]] - f[v] for v in range(len(f))]
-        if best is not None and max([0.0, *phi_shifts]) > best[0]:
-            continue
-        for psi_img in maps_yx:
-            hx = tuple(psi_img[w] for w in phi_img)
-            if hx not in reach_x:
+    bound = math.inf
+    for image, group in by_image.items():
+        by_restriction: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for b in inner:
+            by_restriction.setdefault(tuple(map(b.__getitem__, image)), []).append(b)
+        for a in group:
+            if shift_o[a] > bound:
                 continue
-            hy = tuple(phi_img[v] for v in psi_img)
-            if hy not in reach_y:
-                continue
-            shifts = phi_shifts + [f[psi_img[w]] - g[w] for w in range(len(g))]
-            ex = _control_excess(fx, reach_x, hx, excess_x)
-            ey = _control_excess(fy, reach_y, hy, excess_y)
-            eps = _min_eps(shifts, ex + ey, control_factor)
-            key = (eps, phi_img, psi_img)
-            if best is None or key < best:
-                best = key
+            slots = tuple(map(image.index, a))
+            if slots not in pinned:
+                pinned[slots] = _factor_through(slots, reach_o)
+            section, trips = pinned[slots]
+            for h_o in trips:
+                partners = by_restriction.get(tuple(map(h_o.__getitem__, section)))
+                if partners is None:
+                    continue
+                e_o = excess_o(h_o)
+                if control_factor * bound < max(e_o, default=0.0):
+                    continue
+                for b in partners:
+                    if shift_i[b] > bound:
+                        continue
+                    h_i = tuple(map(a.__getitem__, b))
+                    if h_i not in reach_i:
+                        continue
+                    e_i = excess_i(h_i)
+                    phi, psi, ex, ey = (b, a, e_i, e_o) if flip else (a, b, e_o, e_i)
+                    eps = _min_eps(max(shift_o[a], shift_i[b]), ex + ey, control_factor)
+                    key = (eps, phi, psi)
+                    if best is None or key < best:
+                        best = key
+                        bound = eps
     if best is None:
         return math.inf, None
 
-    eps, phi_img, psi_img = best
+    eps, phi, psi = best
     cert = ShiftCertificate(
-        SimplicialMap(X, Y, phi_img),
-        SimplicialMap(Y, X, psi_img),
+        SimplicialMap(X, Y, phi),
+        SimplicialMap(Y, X, psi),
         eps,
-        _chain_from(X, reach_x, tuple(psi_img[w] for w in phi_img)),
-        _chain_from(Y, reach_y, tuple(phi_img[v] for v in psi_img)),
+        _chain_from(X, reach_x, tuple(psi[w] for w in phi)),
+        _chain_from(Y, reach_y, tuple(phi[v] for v in psi)),
         control_factor,
     )
     outcome = check_certificate(fx, fy, cert)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .common import ParseError, content_lines, fmt_value, parse_int, parse_value
+from .common import ParseError, SizeGuardExceeded, content_lines, fmt_value, parse_int, parse_value
 from .complexes import FilteredComplex
 from .persistence import PersistenceDiagram
 
@@ -285,15 +285,18 @@ def _compositions_ok(
 
 
 def check_interleaving(
-    t1: MergeTree, t2: MergeTree, eps: float
+    t1: MergeTree, t2: MergeTree, eps: float, node_guard: int = EXACT_NODE_GUARD
 ) -> tuple[dict[int, int], dict[int, int]] | None:
     """Decide whether an eps-interleaving of the two trees exists.
 
     Returns a witness (fwd, back), whose maps give each source node's carrier
-    in the other tree, or None when no eps-interleaving exists.
+    in the other tree, or None when no eps-interleaving exists.  The search
+    is exhaustive, so trees above the node guard raise SizeGuardExceeded.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
+    if len(t1) > node_guard or len(t2) > node_guard:
+        raise SizeGuardExceeded(f"exact interleaving limited to {node_guard} nodes per tree")
     backs = _consistent_maps(t2, t1, eps)
     if backs:
         for fwd in _consistent_maps(t1, t2, eps):
@@ -343,7 +346,7 @@ def interleaving_distance(
         # candidates below the diagram bound cannot be feasible
         if eps < lower:
             continue
-        if check_interleaving(t1, t2, eps):
+        if check_interleaving(t1, t2, eps, node_guard):
             return eps
     raise AssertionError("collapse bound is always a feasible candidate")
 

@@ -147,10 +147,10 @@ def test_criterion_4_sandwich_chain():
         dy = compute_diagrams(fy, kmax)
         for k in range(kmax + 1):
             db, _ = bottleneck_distance(dx[k], dy[k])
-            assert db <= dht_upper + TOL, (name, k)
-        assert dht_upper <= np_upper + TOL, name
+            assert db <= dht_upper, (name, k)
+        assert dht_upper <= np_upper, name
         if X == Y:
-            assert dht_upper <= linf_distance(f, g) + TOL, name
+            assert dht_upper <= linf_distance(f, g), name
     print("ACCEPTANCE 4 (sandwich bottleneck <= dht_upper <= np_upper): PASS")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -9,8 +10,14 @@ from topodist.bottleneck import linf_distance
 from topodist.common import ParseError, SizeGuardExceeded
 from topodist.certify import (
     CONDITIONS,
+    DEFAULT_CONTROL_FACTOR,
+    DEFAULT_MAX_CHAIN_LEN,
     CertificateCheck,
     ShiftCertificate,
+    _chain_from,
+    _chains_to_identity,
+    _control_excess,
+    _min_eps,
     check_certificate,
     enumerate_simplicial_maps,
     format_certificate,
@@ -30,7 +37,13 @@ from topodist.complexes import (
     lower_star,
 )
 
-from gen import random_complex, random_vertex_function
+from gen import (
+    random_complex,
+    random_connected_complex,
+    random_filtered,
+    random_monotone_filtered,
+    random_vertex_function,
+)
 
 
 def point_edge_setup():
@@ -145,7 +158,7 @@ def test_search_bounded_by_linf_on_same_domain():
         f = random_vertex_function(rng, K.vertex_count)
         g = random_vertex_function(rng, K.vertex_count)
         eps, cert = search_certificate(lower_star(K, f), lower_star(K, g))
-        assert eps <= linf_distance(f, g) + 1e-12
+        assert eps <= linf_distance(f, g)
         assert cert is not None
 
 
@@ -158,25 +171,37 @@ def test_search_deterministic():
     assert len({format_certificate(r[1]) for r in runs}) == 1
 
 
-def assert_contiguous_mode_matches_checker(K, bases):
-    """enumerate_simplicial_maps(K, K, base) against brute force over all
-    self-maps, filtered by the checker's simpliciality and contiguity tests."""
+def bfs_oracle(K, max_steps):
+    """Links of a BFS from the identity over all n^n self-maps, filtered by
+    check_simplicial, with adjacency from complexes.contiguous; each newly
+    reached map links to the smallest frontier map contiguous to it."""
     n = K.vertex_count
-    all_self = [tuple((code // n**v) % n for v in range(n)) for code in range(n**n)]
-    for base in bases:
-        base_map = SimplicialMap(K, K, base)
-        expected = sorted(
-            img
-            for img in all_self
-            if check_simplicial(SimplicialMap(K, K, img))
-            and contiguous(base_map, SimplicialMap(K, K, img))
-        )
-        assert enumerate_simplicial_maps(K, K, base) == expected
+    self_maps = [
+        m
+        for m in (SimplicialMap(K, K, img) for img in itertools.product(range(n), repeat=n))
+        if check_simplicial(m)
+    ]
+    prev = {tuple(range(n)): None}
+    frontier = [identity_map(K)]
+    for _ in range(max_steps):
+        new = []
+        for m in self_maps:
+            if m.vertex_image not in prev:
+                link = next((p for p in frontier if contiguous(p, m)), None)
+                if link is not None:
+                    prev[m.vertex_image] = link.vertex_image
+                    new.append(m)
+        frontier = new
+    return prev
+
+
+def assert_bfs_matches_oracle(K):
+    for steps in range(4):
+        assert _chains_to_identity(K, steps) == bfs_oracle(K, steps)
 
 
 def test_enumerate_simplicial_maps_all_simplicial():
     rng = random.Random(5)
-    pick = random.Random(11)
     for _ in range(10):
         src = random_complex(rng, max_vertices=4)
         dst = random_complex(rng, max_vertices=4)
@@ -195,17 +220,96 @@ def test_enumerate_simplicial_maps_all_simplicial():
             )
         )
         assert len(images) == brute
-        self_maps = enumerate_simplicial_maps(src, src)
-        assert_contiguous_mode_matches_checker(
-            src, pick.sample(self_maps, min(3, len(self_maps)))
+        assert_bfs_matches_oracle(src)
+    # hollow cycles, where the images of an edge under two maps can span a
+    # missing triangle, so contiguity cuts the graph
+    assert_bfs_matches_oracle(build_complex([[0, 1], [1, 2], [0, 2]]))
+    assert_bfs_matches_oracle(build_complex([[0, 1], [1, 2], [2, 3], [0, 3]]))
+
+
+def product_search(fx, fy, max_chain_len, control_factor):
+    """search_certificate as a plain product over all (phi, psi) pairs: the
+    reference that the join on image(phi) must reproduce exactly."""
+    X, Y = fx.complex, fy.complex
+    f, g = fx.vertex_values(), fy.vertex_values()
+    reach_x = _chains_to_identity(X, max_chain_len - 1)
+    reach_y = _chains_to_identity(Y, max_chain_len - 1)
+    maps_yx = enumerate_simplicial_maps(Y, X)
+    excess_x, excess_y = {}, {}
+    best = None
+    for phi in enumerate_simplicial_maps(X, Y):
+        for psi in maps_yx:
+            hx = tuple(psi[w] for w in phi)
+            hy = tuple(phi[v] for v in psi)
+            if hx not in reach_x or hy not in reach_y:
+                continue
+            shifts = [g[phi[v]] - f[v] for v in range(len(f))]
+            shifts += [f[psi[w]] - g[w] for w in range(len(g))]
+            excess = _control_excess(fx, reach_x, excess_x, hx)
+            excess += _control_excess(fy, reach_y, excess_y, hy)
+            key = (_min_eps(max([0.0, *shifts]), excess, control_factor), phi, psi)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return math.inf, None
+    eps, phi, psi = best
+    return eps, ShiftCertificate(
+        SimplicialMap(X, Y, phi),
+        SimplicialMap(Y, X, psi),
+        eps,
+        _chain_from(X, reach_x, tuple(psi[w] for w in phi)),
+        _chain_from(Y, reach_y, tuple(phi[v] for v in psi)),
+        control_factor,
+    )
+
+
+def flat_filtered(rng, K):
+    """A constant function: every round trip ties at eps 0, so the (phi, psi)
+    order alone picks the witness."""
+    return lower_star(K, VertexFunction((0.5,) * K.vertex_count))
+
+
+def coned(rng, K):
+    """K with a new vertex coned onto one of its simplices: the same homotopy
+    type, so round trips that reach the identity exist."""
+    n = K.vertex_count
+    base = rng.choice(sorted(K.simplices))
+    return build_complex([*K.simplices, (*base, n)], vertex_count=n + 1)
+
+
+def test_search_matches_product_oracle():
+    rng = random.Random(31)
+    for i in range(48):
+        if i % 2:
+            X = random_connected_complex(rng, min_vertices=2, max_vertices=3)
+            complexes = (X, coned(rng, X))
+        else:
+            complexes = (random_complex(rng, max_vertices=4), random_complex(rng, max_vertices=4))
+        filtered = (random_filtered, random_monotone_filtered, flat_filtered)[i // 2 % 3]
+        sides = [filtered(rng, K) for K in complexes]
+        for j, budget in enumerate((1, 2, 4)):
+            factor = (1.0, 2.0, 3.0)[(i + j) % 3]
+            eps, cert = search_certificate(*sides, max_chain_len=budget, control_factor=factor)
+            ref_eps, ref_cert = product_search(*sides, budget, factor)
+            assert eps == ref_eps
+            text = format_certificate(cert) if cert else None
+            assert text == (format_certificate(ref_cert) if ref_cert else None)
+
+
+def test_search_ties_pick_the_smallest_pair():
+    # Every round trip ties at eps 0, so the smallest (phi, psi) must win.
+    # The path's constant self-maps are reached in BFS order, (1, 1, 1)
+    # before (0, 0, 0), so the winning partner is not the first one the join
+    # meets.  The join runs from X on path/path and from Y on triangle/path.
+    path = flat_filtered(None, build_complex([[0, 1], [1, 2]]))
+    triangle = flat_filtered(None, build_complex([[0, 1, 2]]))
+    for fx in (path, triangle):
+        eps, cert = search_certificate(fx, path)
+        assert eps == 0.0
+        assert (cert.phi.vertex_image, cert.psi.vertex_image) == ((0, 0, 0), (0, 0, 0))
+        assert format_certificate(cert) == format_certificate(
+            product_search(fx, path, DEFAULT_MAX_CHAIN_LEN, DEFAULT_CONTROL_FACTOR)[1]
         )
-    # cycles, where two images can each extend a facet's base image to a
-    # simplex without extending it jointly; every self-map serves as a base
-    for K in (
-        build_complex([[0, 1], [1, 2], [0, 2]]),
-        build_complex([[0, 1], [1, 2], [2, 3], [0, 3]]),
-    ):
-        assert_contiguous_mode_matches_checker(K, enumerate_simplicial_maps(K, K))
 
 
 def test_search_raises_on_a_witness_the_checker_rejects(monkeypatch):

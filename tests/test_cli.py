@@ -119,6 +119,23 @@ def test_mergetree_build_and_interleave(tmp_path, capsys):
     assert code == 0 and out == "interleave\tfalse\n"
 
 
+def test_mergetree_interleave_eps_size_guard_exit_2(tmp_path, capsys):
+    # a caterpillar with 7 leaves: 15 nodes, above the 12-node guard
+    lines = ["node 0 0"]
+    spine = 0
+    for i in range(7):
+        leaf, merge = 2 * i + 1, 2 * i + 2
+        lines += [f"node {leaf} 0.5", f"node {merge} {i + 1}"]
+        lines += [f"edge {spine} {merge}", f"edge {leaf} {merge}"]
+        spine = merge
+    big = tmp_path / "big.tree"
+    big.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, ["mergetree", "interleave", str(big), str(big), "--eps", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "12 nodes" in err
+
+
 def test_mergetree_build_disconnected_exit_2(tmp_path, capsys):
     p = tmp_path / "two.txt"
     p.write_text("n 2\n0\n0\n", encoding="utf-8")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from topodist.bottleneck import bottleneck_distance, linf_distance
-from topodist.common import ParseError
+from topodist.common import ParseError, SizeGuardExceeded
 from topodist.complexes import VertexFunction, build_complex, lower_star
 from topodist.mergetree import (
     MergeTree,
@@ -174,7 +174,9 @@ def test_bracket_above_node_guard():
     assert isinstance(result, tuple)
     lower, upper = result
     assert 0.0 <= lower <= upper
-    assert check_interleaving(big, branch_tree(), upper)
+    assert check_interleaving(big, branch_tree(), upper, node_guard=len(big))
+    with pytest.raises(SizeGuardExceeded):
+        check_interleaving(big, branch_tree(), upper)
 
 
 def test_tree_validation():
