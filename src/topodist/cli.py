@@ -8,6 +8,7 @@ signal, which always means a bug somewhere, but localizes it).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -199,7 +200,11 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_FALSIFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of ``main``: parsing leaves it unchanged, and callers must not
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="topodist",
         description="Distances between scalar fields on finite simplicial complexes.",

@@ -1,16 +1,23 @@
 """Persistent homology of filtered complexes over the two-element field.
 
-compute_diagrams runs the plain left-to-right column reduction of the boundary
-matrix, with simplices totally ordered by (filtration value, dimension,
-lexicographic vertex order).  h0_diagram_unionfind recomputes the degree-0
-diagram by an independent union-find sweep with the elder rule; the two must
-agree as multisets on every input, which the test suite enforces.
+compute_diagrams reduces the boundary matrix with clearing (Chen and Kerber,
+"Persistent homology computation with a twist", 2011), with simplices totally
+ordered by (filtration value, dimension, lexicographic vertex order).
+Dimensions are reduced from the top down, so a simplex that is already the
+pivot of a higher column is skipped: its own column would reduce to zero.
+For a fixed total order the persistence pairs are unique, so the output is
+exactly that of the standard left-to-right reduction.  h0_diagram_unionfind
+recomputes the degree-0 diagram by an independent union-find sweep with the
+elder rule; the two must agree as multisets on every input, which the test
+suite enforces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 
 from .common import ParseError, content_lines, fmt_value, parse_int, parse_value
@@ -48,12 +55,15 @@ class PersistenceDiagram:
 
 
 def _filtration_order(fc: FilteredComplex, max_dim: int | None) -> list[Simplex]:
+    """Simplices by (value, dimension, vertex tuple), as three stable sorts."""
     simplices = (
         fc.complex.simplices
         if max_dim is None
         else (s for s in fc.complex.simplices if len(s) - 1 <= max_dim)
     )
-    return sorted(simplices, key=lambda s: (fc.filtration[s], len(s), s))
+    order = sorted(sorted(simplices), key=len)
+    order.sort(key=fc.filtration.__getitem__)
+    return order
 
 
 def reduce_filtration(
@@ -61,34 +71,47 @@ def reduce_filtration(
 ) -> tuple[list[Simplex], list[tuple[int, int]], list[int]]:
     """Column-reduce the boundary matrix; return (order, pairs, essential).
 
-    ``pairs`` holds (birth index, death index) positions into ``order``;
-    ``essential`` the positions of unpaired creators.  Every simplex lands in
-    exactly one of birth / death / essential.  Columns are kept as integer
-    sets, addition is symmetric difference, the pivot of a column is its max.
+    ``pairs`` holds (birth index, death index) positions into ``order``, in
+    increasing death index; ``essential`` the positions of unpaired creators,
+    in increasing order.  Every simplex lands in exactly one of birth / death
+    / essential.  Columns are kept as integer sets, addition is symmetric
+    difference, the pivot of a column is its max.
+
+    Dimensions are reduced from the highest down, each in filtration order.
+    A column whose simplex is already a pivot (a birth paired by a column one
+    dimension up) would reduce to zero, so it is cleared: skipped without
+    building its boundary.  Columns only ever absorb columns of their own
+    dimension, and the pairs of a fixed total order are unique, so the result
+    equals that of the plain left-to-right reduction.
     """
     order = _filtration_order(fc, max_dim)
-    index = {s: i for i, s in enumerate(order)}
+    face_index = {s: i for i, s in enumerate(order)}.__getitem__
+    by_dim: list[list[int]] = [[] for _ in range(max(map(len, order), default=0))]
+    for j, s in enumerate(order):
+        by_dim[len(s) - 1].append(j)
     reduced: dict[int, set[int]] = {}
     pivot_of: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
-    for j, s in enumerate(order):
-        if len(s) == 1:
-            continue
-        col = {index[s[:k] + s[k + 1 :]] for k in range(len(s))}
-        while col:
-            low = max(col)
-            k = pivot_of.get(low)
-            if k is None:
-                break
-            col ^= reduced[k]
-        if col:
-            low = max(col)
-            pivot_of[low] = j
-            reduced[j] = col
-            pairs.append((low, j))
-    paired = {i for p in pairs for i in p}
+    for columns in reversed(by_dim[1:]):
+        for j in columns:
+            if j in pivot_of:
+                continue
+            s = order[j]
+            # the facets of a sorted tuple, each again sorted
+            col = set(map(face_index, combinations(s, len(s) - 1)))
+            while col:
+                low = max(col)
+                k = pivot_of.get(low)
+                if k is None:
+                    break
+                col ^= reduced[k]
+            if col:
+                pivot_of[low] = j
+                reduced[j] = col
+                pairs.append((low, j))
+    pairs.sort(key=itemgetter(1))
     essential = [
-        i for i, s in enumerate(order) if i not in paired and i not in reduced
+        i for i in range(len(order)) if i not in pivot_of and i not in reduced
     ]
     return order, pairs, essential
 

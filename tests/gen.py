@@ -6,6 +6,7 @@ adding the shift constants used in the tests is exact in double precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -62,8 +63,48 @@ def random_complex(
     return build_complex(simplices, vertex_count=n, max_dim=2)
 
 
+def random_complex_3d(rng: random.Random, max_vertices: int = 12) -> SimplicialComplex:
+    """Possibly disconnected, with edges, triangles, hollow tetrahedron
+    boundaries (2-cycles) and solid tetrahedra."""
+    n = rng.randint(1, max_vertices)
+    simplices: list[list[int]] = []
+    if n >= 2:
+        simplices += [rng.sample(range(n), 2) for _ in range(n // 2)]
+    if n >= 3:
+        simplices += [rng.sample(range(n), 3) for _ in range(n // 3)]
+    if n >= 4:
+        for _ in range(n // 3):
+            simplices += map(list, itertools.combinations(rng.sample(range(n), 4), 3))
+        simplices += [rng.sample(range(n), 4) for _ in range(n // 3)]
+    return build_complex(simplices, vertex_count=n, max_dim=3)
+
+
+def freudenthal_block(side: int) -> SimplicialComplex:
+    """A side^3 vertex grid, each unit cube cut into six tetrahedra along
+    its main diagonal (the Freudenthal triangulation)."""
+    def vid(i: int, j: int, k: int) -> int:
+        return (i * side + j) * side + k
+
+    tets: list[list[int]] = []
+    for corner in itertools.product(range(side - 1), repeat=3):
+        for axes in itertools.permutations(range(3)):
+            walk = list(corner)
+            tet = [vid(*walk)]
+            for axis in axes:
+                walk[axis] += 1
+                tet.append(vid(*walk))
+            tets.append(tet)
+    return build_complex(tets, vertex_count=side**3, max_dim=3)
+
+
 def random_filtered(rng: random.Random, complex: SimplicialComplex) -> FilteredComplex:
     return lower_star(complex, random_vertex_function(rng, complex.vertex_count))
+
+
+def tied_filtered(rng: random.Random, complex: SimplicialComplex) -> FilteredComplex:
+    """Lower-star values on a coarse quarter grid: many simplices tie."""
+    values = tuple(rng.randint(0, 4) / 4.0 for _ in range(complex.vertex_count))
+    return lower_star(complex, VertexFunction(values))
 
 
 def random_monotone_filtered(

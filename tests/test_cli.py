@@ -1,7 +1,7 @@
 import shutil
 from pathlib import Path
 
-from topodist.cli import main
+from topodist.cli import build_parser, main
 from topodist.complexes import load_instance
 from topodist.mergetree import load_tree
 from topodist.persistence import load_diagrams
@@ -255,6 +255,25 @@ def test_corpus_missing_file_exit_2(tmp_path, capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["mergetree", "interleave", "a", "b"]) == 2  # neither --eps nor --distance
     assert main(["no-such-command"]) == 2
+
+
+def test_repeated_main_calls_match_fresh_parsers(capsys):
+    """main reuses one parser; a usage error and then two subcommands with
+    different options print what calls on freshly built parsers print."""
+    calls = [
+        ["diagram", PATH_X, "--max-degree", "one"],
+        ["diagram", PATH_X, "--max-degree", "0"],
+        ["bottleneck", PATH_X, PATH_Y],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    parser = build_parser()
+    assert [run(capsys, argv) for argv in calls] == fresh
+    assert build_parser() is parser
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert "invalid int value" in fresh[0][2]
 
 
 def test_instance_save_load_roundtrip(tmp_path):

@@ -14,12 +14,32 @@ from topodist.persistence import (
     shift_diagram,
 )
 
-from gen import dyadic, random_complex, random_filtered, random_monotone_filtered
+from gen import (
+    dyadic,
+    freudenthal_block,
+    random_complex,
+    random_complex_3d,
+    random_filtered,
+    random_monotone_filtered,
+    tied_filtered,
+)
 
 
 def path_instance():
     K = build_complex([[0, 1], [1, 2]])
     return lower_star(K, VertexFunction((0.0, 2.0, 1.0)))
+
+
+def _filtered_inputs(rng, count, values=random_filtered):
+    """``count`` random 2-D complexes, then 3-D ones (Freudenthal blocks at
+    sides 2-4 and random complexes with hollow and solid tetrahedra), each
+    filtered by ``values``."""
+    for _ in range(count):
+        yield values(rng, random_complex(rng))
+    for side in (2, 3, 4):
+        yield values(rng, freudenthal_block(side))
+    for _ in range(12):
+        yield values(rng, random_complex_3d(rng))
 
 
 def test_path_diagrams():
@@ -59,16 +79,56 @@ def test_unionfind_path():
 
 def test_h0_oracle_equivalence_small():
     rng = random.Random(4242)
-    for _ in range(40):
-        fc = random_filtered(rng, random_complex(rng))
+    for fc in _filtered_inputs(rng, 40):
         assert compute_diagrams(fc, 0)[0] == h0_diagram_unionfind(fc)
 
 
 def test_h0_oracle_equivalence_arbitrary_monotone():
     rng = random.Random(77)
-    for _ in range(30):
-        fc = random_monotone_filtered(rng, random_complex(rng))
+    for fc in _filtered_inputs(rng, 30, random_monotone_filtered):
         assert compute_diagrams(fc, 0)[0] == h0_diagram_unionfind(fc)
+
+
+def reference_reduction(fc, max_dim=None):
+    """The plain left-to-right column reduction with a tuple sort key: the
+    oracle that the clearing reduction must match exactly."""
+    order = sorted(
+        (s for s in fc.complex.simplices if max_dim is None or len(s) - 1 <= max_dim),
+        key=lambda s: (fc.filtration[s], len(s), s),
+    )
+    index = {s: i for i, s in enumerate(order)}
+    reduced = {}
+    pivot_of = {}
+    pairs = []
+    for j, s in enumerate(order):
+        if len(s) == 1:
+            continue
+        col = {index[s[:k] + s[k + 1 :]] for k in range(len(s))}
+        while col and max(col) in pivot_of:
+            col ^= reduced[pivot_of[max(col)]]
+        if col:
+            pivot_of[max(col)] = j
+            reduced[j] = col
+            pairs.append((max(col), j))
+    paired = {i for p in pairs for i in p}
+    essential = [i for i in range(len(order)) if i not in paired]
+    return order, pairs, essential
+
+
+@pytest.mark.parametrize(
+    "values", [random_filtered, tied_filtered, random_monotone_filtered]
+)
+def test_reduction_matches_left_to_right_oracle(values):
+    rng = random.Random(5150)
+    death_dims = set()
+    for fc in _filtered_inputs(rng, 10, values):
+        for max_dim in (None, 1, 2, 3):
+            got = reduce_filtration(fc, max_dim)
+            assert got == reference_reduction(fc, max_dim)
+            order, pairs, _ = got
+            death_dims.update(len(order[j]) - 1 for _, j in pairs)
+    # columns of every dimension, tetrahedra included, kill some class
+    assert death_dims == {1, 2, 3}
 
 
 def test_every_simplex_is_birth_death_or_essential_once():
@@ -120,8 +180,7 @@ def _gf2_rank(columns):
 def test_infinite_points_match_betti_numbers():
     """Independent oracle: beta_k from GF(2) ranks of the boundary operators."""
     rng = random.Random(271)
-    for _ in range(20):
-        fc = random_filtered(rng, random_complex(rng))
+    for fc in _filtered_inputs(rng, 20):
         K = fc.complex
         by_dim = {}
         for s in K.simplices:
@@ -134,8 +193,8 @@ def test_infinite_points_match_betti_numbers():
             ranks[d] = _gf2_rank(
                 [{index[d - 1][s[:k] + s[k + 1 :]] for k in range(len(s))} for s in sims]
             )
-        diagrams = compute_diagrams(fc, 2)
-        for k in range(3):
+        diagrams = compute_diagrams(fc, 3)
+        for k in range(4):
             betti = (
                 len(by_dim.get(k, ()))
                 - ranks.get(k, 0)
