@@ -268,7 +268,6 @@ def natural_pseudo_upper(
     k2: SimplicialComplex,
     g: VertexFunction,
     isomorphisms: Sequence[Sequence[int]] | None = None,
-    max_vertices: int = NP_VERTEX_GUARD,
 ) -> float:
     """Min over simplicial isomorphisms h of max_v |f(v) - g(h(v))|.
 
@@ -287,9 +286,9 @@ def natural_pseudo_upper(
             best = min(best, max((abs(f[v] - g[image[v]]) for v in range(len(f))), default=0.0))
         return best
 
-    if k1.vertex_count > max_vertices or k2.vertex_count > max_vertices:
+    if k1.vertex_count > NP_VERTEX_GUARD or k2.vertex_count > NP_VERTEX_GUARD:
         raise SizeGuardExceeded(
-            f"isomorphism enumeration limited to {max_vertices} vertices; "
+            f"isomorphism enumeration limited to {NP_VERTEX_GUARD} vertices; "
             "pass explicit isomorphisms for larger inputs"
         )
     n = k1.vertex_count

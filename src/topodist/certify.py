@@ -400,7 +400,6 @@ def search_certificate(
     fy: FilteredComplex,
     max_chain_len: int = DEFAULT_MAX_CHAIN_LEN,
     control_factor: float = DEFAULT_CONTROL_FACTOR,
-    vertex_guard: int = SEARCH_VERTEX_GUARD,
 ) -> tuple[float, ShiftCertificate | None]:
     """Search simplicial map pairs and certify the best shift found.
 
@@ -424,9 +423,9 @@ def search_certificate(
     if max_chain_len < 1:
         raise ValueError("max_chain_len must be at least 1")
     X, Y = fx.complex, fy.complex
-    if X.vertex_count > vertex_guard or Y.vertex_count > vertex_guard:
+    if X.vertex_count > SEARCH_VERTEX_GUARD or Y.vertex_count > SEARCH_VERTEX_GUARD:
         raise SizeGuardExceeded(
-            f"certificate search limited to {vertex_guard} vertices per side"
+            f"certificate search limited to {SEARCH_VERTEX_GUARD} vertices per side"
         )
     f = fx.vertex_values()
     g = fy.vertex_values()
@@ -536,7 +535,6 @@ def verify_stability(
     fy: FilteredComplex,
     cert: ShiftCertificate,
     max_degree: int = 2,
-    tolerance: float = STABILITY_TOLERANCE,
 ) -> StabilityReport:
     """Check d_B <= certified eps in every degree up to max_degree.
 
@@ -555,7 +553,7 @@ def verify_stability(
     for k in range(max_degree + 1):
         db, _ = bottleneck_distance(dx[k], dy[k])
         entries.append(
-            StabilityEntry(k, db, cert.eps - db, db <= cert.eps + tolerance)
+            StabilityEntry(k, db, cert.eps - db, db <= cert.eps + STABILITY_TOLERANCE)
         )
     return StabilityReport(cert.eps, tuple(entries), all(e.ok for e in entries))
 

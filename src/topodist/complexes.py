@@ -58,13 +58,6 @@ class SimplicialComplex:
         """Dimension of the complex; -1 when empty."""
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
-    def has(self, s: Sequence[int]) -> bool:
-        return tuple(s) in self.simplices
-
-    def simplices_sorted(self) -> list[Simplex]:
-        """Simplices in the canonical (dimension, lexicographic) order."""
-        return sorted(self.simplices, key=lambda s: (len(s), s))
-
     def edges(self) -> list[Simplex]:
         return sorted(s for s in self.simplices if len(s) == 2)
 
@@ -75,17 +68,12 @@ def maximal_simplices(complex: SimplicialComplex) -> tuple[Simplex, ...]:
 
     Most per-simplex conditions used in this package (simpliciality of a map,
     contiguity of two maps) are inherited by faces, so checking facets alone
-    is enough.
+    is enough.  Face closure makes every proper face of a simplex a
+    codimension-1 face of some simplex, so the facets are the simplices that
+    are no simplex's codimension-1 face.
     """
-    by_size = sorted(complex.simplices, key=len, reverse=True)
-    facets: list[Simplex] = []
-    facet_sets: list[frozenset[int]] = []
-    for s in by_size:
-        ss = frozenset(s)
-        if not any(ss <= f for f in facet_sets):
-            facets.append(s)
-            facet_sets.append(ss)
-    return tuple(sorted(facets, key=lambda s: (len(s), s)))
+    faces = {f for s in complex.simplices for f in combinations(s, len(s) - 1)}
+    return tuple(sorted(complex.simplices - faces, key=lambda s: (len(s), s)))
 
 
 def build_complex(
@@ -340,7 +328,7 @@ def homotopy_sup_control(
 
 
 def parse_instance(
-    text: str, source: str = "<string>", max_dim: int = DEFAULT_MAX_DIM
+    text: str, source: str = "<string>"
 ) -> tuple[SimplicialComplex, VertexFunction]:
     lines = content_lines(text)
     try:
@@ -376,11 +364,11 @@ def parse_instance(
             raise ParseError(source, lineno, "repeated vertex inside a simplex")
         if any(v < 0 or v >= n for v in verts):
             raise ParseError(source, lineno, "vertex index out of range")
-        if len(verts) - 1 > max_dim:
-            raise ParseError(source, lineno, f"simplex exceeds dimension cap {max_dim}")
+        if len(verts) - 1 > DEFAULT_MAX_DIM:
+            raise ParseError(source, lineno, f"simplex exceeds dimension cap {DEFAULT_MAX_DIM}")
         simplex_rows.append(verts)
 
-    complex = build_complex(simplex_rows, vertex_count=n, max_dim=max_dim)
+    complex = build_complex(simplex_rows, vertex_count=n)
     return complex, VertexFunction(tuple(values))
 
 
@@ -396,11 +384,9 @@ def format_instance(complex: SimplicialComplex, f: VertexFunction) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_instance(
-    path: str | Path, max_dim: int = DEFAULT_MAX_DIM
-) -> tuple[SimplicialComplex, VertexFunction]:
+def load_instance(path: str | Path) -> tuple[SimplicialComplex, VertexFunction]:
     p = Path(path)
-    return parse_instance(p.read_text(encoding="utf-8"), source=str(p), max_dim=max_dim)
+    return parse_instance(p.read_text(encoding="utf-8"), source=str(p))
 
 
 def save_instance(path: str | Path, complex: SimplicialComplex, f: VertexFunction) -> None:

@@ -7,10 +7,14 @@ on the edge above the node; the node is called the point's *carrier*.
 
 An eps-interleaving is a pair of maps t1 -> t2 and t2 -> t1 that raise
 heights by exactly eps, respect the tree structure, and compose to the
-2*eps up-shift inside each tree.  Such a map is determined by the carriers
-assigned to the source's nodes, which makes the existence check a finite
-search: images of leaves are free choices, images of merge nodes are forced
-by any one child, and remaining children must agree.
+2*eps up-shift inside each tree.  Touli and Wang ("FPT-algorithms for
+computing Gromov-Hausdorff and interleaving distances between trees", ESA
+2019) show that one exists iff a single eps-good map t1 -> t2 does: a
+structure-respecting map that raises heights by eps, under which two points
+merge at most eps above the height where their images meet, and whose image
+holds the point 2*eps above every point of t2.  Such a map is determined by
+the carriers of its leaf images, so the existence check is a finite search
+over leaf images, pruned pairwise as each leaf is placed.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 from .common import ParseError, SizeGuardExceeded, content_lines, fmt_value, parse_int, parse_value
 from .complexes import FilteredComplex
-from .persistence import PersistenceDiagram
+from .persistence import PersistenceDiagram, _UnionFind
 
 EXACT_NODE_GUARD = 12
 
@@ -56,14 +60,6 @@ class MergeTree:
                 raise ValueError(
                     f"node {n} has exactly one child; non-critical nodes must be contracted"
                 )
-        for n in nodes:  # strict height increase already excludes cycles, but be loud
-            seen = {n}
-            cur = n
-            while cur != self.root:
-                cur = self.parent[cur]
-                if cur in seen:
-                    raise ValueError("parent relation contains a cycle")
-                seen.add(cur)
 
     def nodes(self) -> list[int]:
         return sorted(self.heights)
@@ -107,15 +103,7 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
         return node
 
     comp_node = [new_node(fc.filtration[(v,)], []) for v in range(n)]
-    parent_uf = list(range(n))
-
-    def find(i: int) -> int:
-        root = i
-        while parent_uf[root] != root:
-            root = parent_uf[root]
-        while parent_uf[i] != root:
-            parent_uf[i], i = root, parent_uf[i]
-        return root
+    uf = _UnionFind(n)
 
     def discard(node: int) -> None:
         del heights[node]
@@ -123,7 +111,7 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
 
     for u, v in sorted(fc.complex.edges(), key=lambda e: (fc.filtration[e], e)):
         t = fc.filtration[(u, v)]
-        ru, rv = find(u), find(v)
+        ru, rv = uf.find(u), uf.find(v)
         if ru == rv:
             continue
         a, b = comp_node[ru], comp_node[rv]
@@ -157,10 +145,10 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
                 merged = b
         else:
             merged = new_node(t, [a, b])
-        parent_uf[rv] = ru
+        uf.parent[rv] = ru
         comp_node[ru] = merged
 
-    roots = {find(v) for v in range(n)}
+    roots = {uf.find(v) for v in range(n)}
     if len(roots) > 1:
         raise ValueError(
             f"complex is disconnected ({len(roots)} components); merge trees need one root"
@@ -228,84 +216,81 @@ def _alive(tree: MergeTree, height: float) -> list[int]:
     return out
 
 
-def _consistent_maps(src: MergeTree, dst: MergeTree, eps: float) -> list[dict[int, int]]:
-    """All structure-respecting carrier assignments src -> dst at shift eps.
+def _lca_height(tree: MergeTree, a: int, b: int) -> float:
+    """Height of the lowest common ancestor node of ``a`` and ``b``."""
+    above_a = {a}
+    while a in tree.parent:
+        a = tree.parent[a]
+        above_a.add(a)
+    while b not in above_a:
+        b = tree.parent[b]
+    return tree.heights[b]
 
-    Leaf images are free among the branches of dst alive at (leaf height +
-    eps); the image of every internal node is forced by walking up from any
-    child, and the walks from different children must agree.
+
+def _good_map(src: MergeTree, dst: MergeTree, eps: float) -> dict[int, int] | None:
+    """An eps-good map src -> dst as node carriers, or None when none exists.
+
+    Leaves are placed one at a time on a branch of dst alive at their height
+    + eps.  For each pair of placed leaves, with ``merge`` the height where
+    they join in src and ``meet`` the height where their image paths join in
+    dst, the map is continuous iff meet <= merge + eps, and the pair obeys
+    Touli-Wang's condition iff merge <= meet + eps.  Once every leaf is
+    placed, each leaf of dst must have the point 2*eps above it in the image.
     """
+    h = src.heights
     leaves = src.leaves()
-    results: list[dict[int, int]] = []
-    forced: dict[int, int] = {}
+    image: dict[int, int] = {}
 
-    def place(i: int) -> None:
+    def pair_ok(a: int, ca: int, b: int, cb: int) -> bool:
+        merge = _lca_height(src, a, b)
+        meet = max(_lca_height(dst, ca, cb), max(h[a], h[b]) + eps)
+        return meet <= merge + eps and merge <= meet + eps
+
+    def covered(t: int) -> bool:
+        top = dst.heights[t] + 2.0 * eps
+        target = _carrier(dst, t, top)
+        return any(
+            h[leaf] + eps <= top and _carrier(dst, c, top) == target
+            for leaf, c in image.items()
+        )
+
+    def place(i: int) -> bool:
         if i == len(leaves):
-            results.append(dict(forced))
-            return
+            return all(covered(t) for t in dst.leaves())
         leaf = leaves[i]
-        for cand in _alive(dst, src.heights[leaf] + eps):
-            added = [leaf]
-            forced[leaf] = cand
-            node, image = leaf, cand
-            ok = True
-            while node in src.parent:
-                par = src.parent[node]
-                image = _carrier(dst, image, src.heights[par] + eps)
-                if par in forced:
-                    ok = forced[par] == image
-                    break
-                forced[par] = image
-                added.append(par)
-                node = par
-            if ok:
-                place(i + 1)
-            for n in added:
-                del forced[n]
+        for cand in _alive(dst, h[leaf] + eps):
+            if all(pair_ok(leaf, cand, b, image[b]) for b in leaves[:i]):
+                image[leaf] = cand
+                if place(i + 1):
+                    return True
+        return False
 
-    place(0)
-    return results
-
-
-def _compositions_ok(
-    src: MergeTree,
-    dst: MergeTree,
-    fwd: dict[int, int],
-    back: dict[int, int],
-    eps: float,
-) -> bool:
-    """back(fwd(.)) must act as the 2*eps up-shift on every node of src."""
-    for n in src.nodes():
-        target_height = src.heights[n] + 2.0 * eps
-        via = _carrier(src, back[fwd[n]], target_height)
-        direct = _carrier(src, n, target_height)
-        if via != direct:
-            return False
-    return True
+    if not place(0):
+        return None
+    fwd: dict[int, int] = {}
+    for leaf, c in image.items():
+        node = leaf
+        while node not in fwd:
+            fwd[node] = _carrier(dst, c, h[node] + eps)
+            node = src.parent.get(node, node)
+    return fwd
 
 
 def check_interleaving(
     t1: MergeTree, t2: MergeTree, eps: float, node_guard: int = EXACT_NODE_GUARD
-) -> tuple[dict[int, int], dict[int, int]] | None:
+) -> dict[int, int] | None:
     """Decide whether an eps-interleaving of the two trees exists.
 
-    Returns a witness (fwd, back), whose maps give each source node's carrier
-    in the other tree, or None when no eps-interleaving exists.  The search
-    is exhaustive, so trees above the node guard raise SizeGuardExceeded.
+    By Touli-Wang (ESA 2019) one exists iff an eps-good map t1 -> t2 does.
+    Returns such a map, as each t1 node's carrier in t2 (never empty), or
+    None.  The search backtracks over leaf images, so trees above the node
+    guard raise SizeGuardExceeded.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
     if len(t1) > node_guard or len(t2) > node_guard:
         raise SizeGuardExceeded(f"exact interleaving limited to {node_guard} nodes per tree")
-    backs = _consistent_maps(t2, t1, eps)
-    if backs:
-        for fwd in _consistent_maps(t1, t2, eps):
-            for back in backs:
-                if _compositions_ok(t1, t2, fwd, back, eps) and _compositions_ok(
-                    t2, t1, back, fwd, eps
-                ):
-                    return fwd, back
-    return None
+    return _good_map(t1, t2, eps)
 
 
 def interleaving_candidates(t1: MergeTree, t2: MergeTree) -> list[float]:
@@ -328,9 +313,7 @@ def _collapse_bound(t1: MergeTree, t2: MergeTree) -> float:
     return max(0.0, r2 - lo1, r1 - lo2, (r1 - lo1) / 2.0, (r2 - lo2) / 2.0)
 
 
-def interleaving_distance(
-    t1: MergeTree, t2: MergeTree, node_guard: int = EXACT_NODE_GUARD
-):
+def interleaving_distance(t1: MergeTree, t2: MergeTree):
     """Min eps admitting an interleaving, exact via the candidate scan.
 
     Above the node guard the exhaustive check is not attempted: the result is
@@ -340,13 +323,13 @@ def interleaving_distance(
     from .bottleneck import bottleneck_distance  # cycle-free late import
 
     lower, _ = bottleneck_distance(diagram_from_tree(t1), diagram_from_tree(t2))
-    if len(t1) > node_guard or len(t2) > node_guard:
+    if len(t1) > EXACT_NODE_GUARD or len(t2) > EXACT_NODE_GUARD:
         return (lower, _collapse_bound(t1, t2))
     for eps in interleaving_candidates(t1, t2):
         # candidates below the diagram bound cannot be feasible
         if eps < lower:
             continue
-        if check_interleaving(t1, t2, eps, node_guard):
+        if check_interleaving(t1, t2, eps):
             return eps
     raise AssertionError("collapse bound is always a feasible candidate")
 

@@ -17,6 +17,7 @@ from topodist.complexes import (
     build_complex,
     lower_star,
 )
+from topodist.mergetree import MergeTree
 from topodist.persistence import PersistenceDiagram
 
 
@@ -157,3 +158,23 @@ def tied_diagram(
         else:
             points.append((birth, birth + rng.randint(1, 4) / 4.0))
     return PersistenceDiagram(0, tuple(points))
+
+
+def random_merge_tree(rng: random.Random, max_leaves: int, grid: float) -> MergeTree:
+    """Leaves on multiples of ``grid`` in [0, 2], merged two or three branches
+    at a time, each merge 1 to 1/grid grid steps above its highest child: a
+    coarse grid gives many tied leaves and merges."""
+    steps = round(1 / grid)
+    leaves = range(rng.randint(1, max_leaves))
+    heights = {leaf: rng.randint(0, 2 * steps) * grid for leaf in leaves}
+    parent: dict[int, int] = {}
+    tops = list(heights)
+    while len(tops) > 1:
+        kids = rng.sample(tops, min(len(tops), rng.choice((2, 2, 3))))
+        node = len(heights)
+        heights[node] = max(heights[k] for k in kids) + rng.randint(1, steps) * grid
+        for k in kids:
+            parent[k] = node
+            tops.remove(k)
+        tops.append(node)
+    return MergeTree(heights, parent, tops[0])

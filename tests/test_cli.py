@@ -1,10 +1,13 @@
+import random
 import shutil
 from pathlib import Path
 
 from topodist.cli import build_parser, main
-from topodist.complexes import load_instance
-from topodist.mergetree import load_tree
+from topodist.complexes import VertexFunction, load_instance, lower_star
+from topodist.mergetree import build_merge_tree, format_tree, load_tree
 from topodist.persistence import load_diagrams
+
+from gen import random_connected_complex, random_vertex_function
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus"
@@ -117,6 +120,28 @@ def test_mergetree_build_and_interleave(tmp_path, capsys):
     assert code == 0 and out == "interleave\ttrue\n"
     code, out, _ = run(capsys, ["mergetree", "interleave", str(t1), str(t2), "--eps", "0.5"])
     assert code == 0 and out == "interleave\tfalse\n"
+
+
+def test_mergetree_interleave_near_copies(tmp_path, capsys):
+    # g = f + k/64 with |k| <= 8 on one complex: two 11-node merge trees,
+    # interleaving at d_B(H0) = 0.109375, below L-infinity = 0.125
+    rng = random.Random(161)
+    K = random_connected_complex(rng, min_vertices=12, max_vertices=20)
+    f = random_vertex_function(rng, K.vertex_count)
+    g = VertexFunction(tuple(v + rng.randint(-8, 8) / 64 for v in f))
+    paths = []
+    for name, values in (("t1", f), ("t2", g)):
+        tree = build_merge_tree(lower_star(K, values))
+        assert len(tree) == 11
+        path = tmp_path / f"{name}.tree"
+        path.write_text(format_tree(tree), encoding="utf-8")
+        paths.append(str(path))
+    code, out, _ = run(capsys, ["mergetree", "interleave", *paths, "--distance"])
+    assert code == 0 and out == "interleaving\t0.109375\n"
+    # 0.1015625 is the candidate just below the distance
+    for eps, answer in (("0.109375", "true"), ("0.1015625", "false")):
+        code, out, _ = run(capsys, ["mergetree", "interleave", *paths, "--eps", eps])
+        assert code == 0 and out == f"interleave\t{answer}\n"
 
 
 def test_mergetree_interleave_eps_size_guard_exit_2(tmp_path, capsys):

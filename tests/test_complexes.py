@@ -22,7 +22,7 @@ from topodist.complexes import (
     parse_instance,
 )
 
-from gen import random_complex, random_vertex_function
+from gen import random_complex, random_complex_3d, random_vertex_function
 
 
 def test_build_complex_face_closure():
@@ -240,6 +240,11 @@ def test_compose_maps():
 def test_maximal_simplices():
     K = build_complex([[0, 1, 2], [2, 3]])
     assert maximal_simplices(K) == ((2, 3), (0, 1, 2))
+    rng = random.Random(73)
+    for K in [random_complex(rng) for _ in range(20)] + [random_complex_3d(rng) for _ in range(20)]:
+        facets = [set(s) for s in maximal_simplices(K)]
+        assert not any(a < b for a in facets for b in facets)
+        assert all(any(set(s) <= f for f in facets) for s in K.simplices)
 
 
 def test_instance_roundtrip():

@@ -8,6 +8,8 @@ from topodist.common import ParseError, SizeGuardExceeded
 from topodist.complexes import VertexFunction, build_complex, lower_star
 from topodist.mergetree import (
     MergeTree,
+    _alive,
+    _carrier,
     build_merge_tree,
     check_interleaving,
     diagram_from_tree,
@@ -18,7 +20,7 @@ from topodist.mergetree import (
 )
 from topodist.persistence import h0_diagram_unionfind
 
-from gen import random_connected_complex, random_vertex_function
+from gen import random_connected_complex, random_merge_tree, random_vertex_function
 
 
 def path_tree():
@@ -96,10 +98,96 @@ def test_check_interleaving_rejects_negative_eps():
 
 
 def test_interleaving_witness_shape():
-    fwd, back = check_interleaving(path_tree(), branch_tree(), 0.5)
-    assert set(fwd) == set(path_tree().heights)
-    assert set(back) == {0}
+    assert check_interleaving(path_tree(), branch_tree(), 0.5) == {0: 0, 1: 0, 2: 0}
+    assert check_interleaving(branch_tree(), path_tree(), 0.5) == {0: 0}
     assert check_interleaving(path_tree(), branch_tree(), 0.49) is None
+
+
+def consistent_maps(src, dst, eps):
+    """Every structure-respecting carrier assignment src -> dst at shift eps.
+
+    Leaf images are free among the branches of dst alive at (leaf height +
+    eps); the image of every internal node is forced by walking up from any
+    child, and the walks from different children must agree.
+    """
+    leaves = src.leaves()
+    results = []
+    forced = {}
+
+    def place(i):
+        if i == len(leaves):
+            results.append(dict(forced))
+            return
+        leaf = leaves[i]
+        for cand in _alive(dst, src.heights[leaf] + eps):
+            added = [leaf]
+            forced[leaf] = cand
+            node, image = leaf, cand
+            ok = True
+            while node in src.parent:
+                par = src.parent[node]
+                image = _carrier(dst, image, src.heights[par] + eps)
+                if par in forced:
+                    ok = forced[par] == image
+                    break
+                forced[par] = image
+                added.append(par)
+                node = par
+            if ok:
+                place(i + 1)
+            for n in added:
+                del forced[n]
+
+    place(0)
+    return results
+
+
+def compositions_ok(src, fwd, back, eps):
+    """back(fwd(.)) must act as the 2*eps up-shift on every node of src."""
+    for n in src.nodes():
+        target_height = src.heights[n] + 2.0 * eps
+        if _carrier(src, back[fwd[n]], target_height) != _carrier(src, n, target_height):
+            return False
+    return True
+
+
+def is_interleaving(t1, t2, fwd, back, eps):
+    return compositions_ok(t1, fwd, back, eps) and compositions_ok(t2, back, fwd, eps)
+
+
+def product_interleaving(t1, t2, eps):
+    """check_interleaving by the definition: every consistent map in each
+    direction, every (fwd, back) pair tested for the 2*eps composition rule.
+    The reference that the single eps-good map search must agree with."""
+    backs = consistent_maps(t2, t1, eps)
+    for fwd in consistent_maps(t1, t2, eps):
+        for back in backs:
+            if is_interleaving(t1, t2, fwd, back, eps):
+                return fwd, back
+    return None
+
+
+def test_good_map_matches_product_oracle():
+    rng = random.Random(2019)
+    triples = feasible = 0
+    for i in range(150):
+        grid = 0.25 if i % 2 else 1 / 64
+        pair = random_merge_tree(rng, 4, grid), random_merge_tree(rng, 4, grid)
+        for t1, t2 in (pair, pair[::-1]):
+            for eps in interleaving_candidates(t1, t2):
+                fwd = check_interleaving(t1, t2, eps)
+                ref = product_interleaving(t1, t2, eps)
+                assert (fwd is None) == (ref is None), (t1, t2, eps)
+                triples += 1
+                if fwd is None:
+                    continue
+                feasible += 1
+                assert fwd in consistent_maps(t1, t2, eps)
+                assert any(
+                    is_interleaving(t1, t2, fwd, back, eps)
+                    for back in consistent_maps(t2, t1, eps)
+                ), (t1, t2, eps)
+    assert 0 < feasible < triples
 
 
 def test_interleaving_distance_examples():
@@ -137,8 +225,8 @@ def test_interleaving_between_db_and_linf():
             continue
         value = interleaving_distance(t1, t2)
         db, _ = bottleneck_distance(diagram_from_tree(t1), diagram_from_tree(t2))
-        assert db <= value + 1e-9
-        assert value <= linf_distance(f, g) + 1e-9
+        assert db <= value
+        assert value <= linf_distance(f, g)
         done += 1
 
 
