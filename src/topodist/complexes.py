@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,9 +28,21 @@ Simplex = tuple[int, ...]
 DEFAULT_MAX_DIM = 3
 
 
+def _trusted(cls, **fields):
+    """An instance of a dataclass made without running its __post_init__
+    checks, for builders whose construction already guarantees them."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite abstract simplicial complex on vertices 0..vertex_count-1."""
+    """A finite abstract simplicial complex on vertices 0..vertex_count-1.
+
+    The constructor validates; build_complex returns trusted instances.
+    """
 
     vertex_count: int
     simplices: frozenset[Simplex]
@@ -58,9 +70,6 @@ class SimplicialComplex:
         """Dimension of the complex; -1 when empty."""
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
-    def edges(self) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == 2)
-
 
 @lru_cache(maxsize=None)
 def maximal_simplices(complex: SimplicialComplex) -> tuple[Simplex, ...]:
@@ -87,6 +96,8 @@ def build_complex(
     isolated points; otherwise the count is inferred as 1 + max index and a
     vertex index gap is an error (it almost always indicates a typo).
     """
+    if vertex_count is not None and vertex_count < 0:
+        raise ValueError("vertex_count must be non-negative")
     closed: set[Simplex] = set()
     top = -1
     for raw in simplex_list:
@@ -114,7 +125,7 @@ def build_complex(
         for v in range(n):
             if (v,) not in closed:
                 raise ValueError(f"vertex index gap: {v} appears in no simplex")
-    return SimplicialComplex(n, frozenset(closed))
+    return _trusted(SimplicialComplex, vertex_count=n, simplices=frozenset(closed))
 
 
 @dataclass(frozen=True)
@@ -146,7 +157,9 @@ class VertexFunction:
 class FilteredComplex:
     """A complex with a monotone real value per simplex.
 
-    Treated as immutable after construction; all operations on it are pure.
+    Treated as immutable after construction; all operations on it are pure,
+    and ``order`` is cached on first use.  The constructor validates;
+    lower_star returns trusted instances.
     """
 
     complex: SimplicialComplex
@@ -164,6 +177,16 @@ class FilteredComplex:
                         raise ValueError(
                             f"filtration not monotone: value({facet}) > value({s})"
                         )
+
+    @cached_property
+    def order(self) -> tuple[Simplex, ...]:
+        """Simplices by (value, dimension, vertex tuple), as three stable sorts.
+
+        Restricted to edges this is the order by (value, vertex tuple).
+        """
+        order = sorted(sorted(self.complex.simplices), key=len)
+        order.sort(key=self.filtration.__getitem__)
+        return tuple(order)
 
     def value(self, s: Sequence[int]) -> float:
         return self.filtration[tuple(s)]
@@ -186,8 +209,11 @@ def lower_star(complex: SimplicialComplex, f: VertexFunction) -> FilteredComplex
         raise ValueError(
             f"function length {len(f)} != vertex count {complex.vertex_count}"
         )
-    return FilteredComplex(
-        complex, {s: max(f[v] for v in s) for s in complex.simplices}
+    values = f.values
+    return _trusted(
+        FilteredComplex,
+        complex=complex,
+        filtration={s: max(map(values.__getitem__, s)) for s in complex.simplices},
     )
 
 

@@ -109,7 +109,7 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
         del heights[node]
         del children[node]
 
-    for u, v in sorted(fc.complex.edges(), key=lambda e: (fc.filtration[e], e)):
+    for u, v in (e for e in fc.order if len(e) == 2):
         t = fc.filtration[(u, v)]
         ru, rv = uf.find(u), uf.find(v)
         if ru == rv:

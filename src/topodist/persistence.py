@@ -9,7 +9,8 @@ For a fixed total order the persistence pairs are unique, so the output is
 exactly that of the standard left-to-right reduction.  h0_diagram_unionfind
 recomputes the degree-0 diagram by an independent union-find sweep with the
 elder rule; the two must agree as multisets on every input, which the test
-suite enforces.
+suite enforces.  The order is the one FilteredComplex caches, which the
+union-find sweep and the merge tree read as well.
 """
 
 from __future__ import annotations
@@ -54,28 +55,17 @@ class PersistenceDiagram:
         return sum(1 for _, d in self.points if math.isinf(d))
 
 
-def _filtration_order(fc: FilteredComplex, max_dim: int | None) -> list[Simplex]:
-    """Simplices by (value, dimension, vertex tuple), as three stable sorts."""
-    simplices = (
-        fc.complex.simplices
-        if max_dim is None
-        else (s for s in fc.complex.simplices if len(s) - 1 <= max_dim)
-    )
-    order = sorted(sorted(simplices), key=len)
-    order.sort(key=fc.filtration.__getitem__)
-    return order
-
-
 def reduce_filtration(
     fc: FilteredComplex, max_dim: int | None = None
 ) -> tuple[list[Simplex], list[tuple[int, int]], list[int]]:
     """Column-reduce the boundary matrix; return (order, pairs, essential).
 
-    ``pairs`` holds (birth index, death index) positions into ``order``, in
-    increasing death index; ``essential`` the positions of unpaired creators,
-    in increasing order.  Every simplex lands in exactly one of birth / death
-    / essential.  Columns are kept as integer sets, addition is symmetric
-    difference, the pivot of a column is its max.
+    ``order`` is a fresh list, ``fc.order`` restricted to dimensions up to
+    ``max_dim``.  ``pairs`` holds (birth index, death index) positions into
+    ``order``, in increasing death index; ``essential`` the positions of
+    unpaired creators, in increasing order.  Every simplex lands in exactly
+    one of birth / death / essential.  Columns are kept as integer sets,
+    addition is symmetric difference, the pivot of a column is its max.
 
     Dimensions are reduced from the highest down, each in filtration order.
     A column whose simplex is already a pivot (a birth paired by a column one
@@ -84,7 +74,11 @@ def reduce_filtration(
     dimension, and the pairs of a fixed total order are unique, so the result
     equals that of the plain left-to-right reduction.
     """
-    order = _filtration_order(fc, max_dim)
+    order = (
+        list(fc.order)
+        if max_dim is None
+        else [s for s in fc.order if len(s) <= max_dim + 1]
+    )
     face_index = {s: i for i, s in enumerate(order)}.__getitem__
     by_dim: list[list[int]] = [[] for _ in range(max(map(len, order), default=0))]
     for j, s in enumerate(order):
@@ -165,7 +159,7 @@ def h0_diagram_unionfind(fc: FilteredComplex) -> PersistenceDiagram:
     uf = _UnionFind(n)
     birth = [fc.filtration[(v,)] for v in range(n)]
     points: list[tuple[float, float]] = []
-    for u, v in sorted(fc.complex.edges(), key=lambda e: (fc.filtration[e], e)):
+    for u, v in (e for e in fc.order if len(e) == 2):
         t = fc.filtration[(u, v)]
         ru, rv = uf.find(u), uf.find(v)
         if ru == rv:

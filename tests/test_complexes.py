@@ -22,7 +22,17 @@ from topodist.complexes import (
     parse_instance,
 )
 
-from gen import random_complex, random_complex_3d, random_vertex_function
+from gen import (
+    freudenthal_block,
+    grid_complex,
+    random_complex,
+    random_complex_3d,
+    random_connected_complex,
+    random_filtered,
+    random_monotone_filtered,
+    random_vertex_function,
+    tied_filtered,
+)
 
 
 def test_build_complex_face_closure():
@@ -52,6 +62,14 @@ def test_build_complex_rejects_repeated_vertex():
 def test_build_complex_rejects_index_gap():
     with pytest.raises(ValueError, match="gap"):
         build_complex([[0, 2]])
+
+
+def test_negative_vertex_count_rejected():
+    for simplices in ([], [[0]]):
+        with pytest.raises(ValueError, match="^vertex_count must be non-negative$"):
+            build_complex(simplices, vertex_count=-1)
+    with pytest.raises(ValueError, match="^vertex_count must be non-negative$"):
+        SimplicialComplex(-1, frozenset())
 
 
 def test_build_complex_explicit_count_adds_isolated_vertices():
@@ -134,6 +152,43 @@ def test_filtered_complex_rejects_non_monotone():
     K = build_complex([[0, 1]])
     with pytest.raises(ValueError, match="monotone"):
         FilteredComplex(K, {(0,): 0.0, (1,): 0.0, (0, 1): -1.0})
+
+
+def test_shifted_rejects_overflow_to_inf():
+    K = build_complex([[0, 1]])
+    f = VertexFunction((1e308, 0.0))
+    with pytest.raises(ValueError, match="vertex values must be finite"):
+        f.shifted(1e308)
+    with pytest.raises(ValueError, match="filtration values must be finite"):
+        lower_star(K, f).shifted(1e308)
+
+
+def _generated_complexes(rng):
+    yield from (random_complex(rng) for _ in range(15))
+    yield from (random_complex_3d(rng) for _ in range(15))
+    yield from (random_connected_complex(rng) for _ in range(15))
+    yield from (freudenthal_block(side) for side in (1, 2, 3))
+    yield from (grid_complex(side) for side in (1, 2, 5))
+
+
+def test_trusted_construction_equals_validated():
+    """build_complex and lower_star skip the public constructors' checks;
+    re-validating what they return passes and gives an equal object, and the
+    cached filtration order is the (value, dimension, vertex tuple) order."""
+    rng = random.Random(2024)
+    for K in _generated_complexes(rng):
+        assert SimplicialComplex(K.vertex_count, K.simplices) == K
+        for values in (random_filtered, tied_filtered, random_monotone_filtered):
+            fc = values(rng, K)
+            assert FilteredComplex(fc.complex, dict(fc.filtration)) == fc
+            value = fc.filtration
+            assert fc.order == tuple(
+                sorted(K.simplices, key=lambda s: (value[s], len(s), s))
+            )
+            edges = [s for s in K.simplices if len(s) == 2]
+            assert [s for s in fc.order if len(s) == 2] == sorted(
+                edges, key=lambda e: (value[e], e)
+            )
 
 
 def test_check_simplicial_identity():

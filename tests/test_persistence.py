@@ -131,6 +131,18 @@ def test_reduction_matches_left_to_right_oracle(values):
     assert death_dims == {1, 2, 3}
 
 
+def test_reduction_order_is_a_fresh_list():
+    rng = random.Random(31)
+    for fc in _filtered_inputs(rng, 5):
+        before = compute_diagrams(fc, 2)
+        order, _, _ = reduce_filtration(fc)
+        assert type(order) is list
+        order.reverse()
+        order.append((-1,))
+        assert compute_diagrams(fc, 2) == before
+        assert reduce_filtration(fc)[0] == list(fc.order)
+
+
 def test_every_simplex_is_birth_death_or_essential_once():
     rng = random.Random(99)
     for _ in range(25):
@@ -155,7 +167,7 @@ def test_infinite_points_count_components():
                 i = parent[i]
             return i
 
-        for u, v in K.edges():
+        for u, v in (s for s in K.simplices if len(s) == 2):
             parent[find(u)] = find(v)
         components = len({find(v) for v in range(K.vertex_count)})
         assert diagram.infinite_count() == components
