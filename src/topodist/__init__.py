@@ -16,7 +16,6 @@ from .bottleneck import (
     Matching,
     bottleneck_bruteforce,
     bottleneck_distance,
-    is_isomorphism,
     linf_distance,
     natural_pseudo_upper,
 )
@@ -35,7 +34,7 @@ from .certify import (
     upshift_asymmetry_probe,
     verify_stability,
 )
-from .common import ParseError, SizeGuardExceeded
+from .common import Bound, ParseError, SizeGuardExceeded
 from .complexes import (
     ContiguityChain,
     FilteredComplex,

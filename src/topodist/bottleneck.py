@@ -245,52 +245,19 @@ def _vertex_profile(complex: SimplicialComplex) -> list[tuple[int, ...]]:
     return [tuple(sorted(p)) for p in profile]
 
 
-def is_isomorphism(
-    k1: SimplicialComplex, k2: SimplicialComplex, image: Sequence[int]
-) -> bool:
-    """True iff ``image`` is a vertex bijection carrying k1 onto k2."""
-    n = k1.vertex_count
-    if k2.vertex_count != n or len(image) != n or sorted(image) != list(range(n)):
-        return False
-    if _simplex_counts(k1) != _simplex_counts(k2):
-        return False
-    # injective vertex map: per-dimension counts equal + forward simplicial
-    # already forces surjectivity onto k2's simplices
-    for s in maximal_simplices(k1):
-        if tuple(sorted(image[v] for v in s)) not in k2.simplices:
-            return False
-    return True
-
-
 def natural_pseudo_upper(
-    k1: SimplicialComplex,
-    f: VertexFunction,
-    k2: SimplicialComplex,
-    g: VertexFunction,
-    isomorphisms: Sequence[Sequence[int]] | None = None,
+    k1: SimplicialComplex, f: VertexFunction, k2: SimplicialComplex, g: VertexFunction
 ) -> float:
     """Min over simplicial isomorphisms h of max_v |f(v) - g(h(v))|.
 
     This is an UPPER BOUND on the natural pseudo-distance: the infimum there
     ranges over all homeomorphisms, which a finite enumeration cannot exhaust.
-    Returns inf when the complexes are not isomorphic.  Pass ``isomorphisms``
-    (vertex image lists) to skip the enumeration and its size guard.
+    Returns inf when the complexes are not isomorphic.
     """
     if len(f) != k1.vertex_count or len(g) != k2.vertex_count:
         raise ValueError("function length does not match its complex")
-    if isomorphisms is not None:
-        best = math.inf
-        for image in isomorphisms:
-            if not is_isomorphism(k1, k2, image):
-                raise ValueError(f"supplied map {list(image)} is not an isomorphism")
-            best = min(best, max((abs(f[v] - g[image[v]]) for v in range(len(f))), default=0.0))
-        return best
-
     if k1.vertex_count > NP_VERTEX_GUARD or k2.vertex_count > NP_VERTEX_GUARD:
-        raise SizeGuardExceeded(
-            f"isomorphism enumeration limited to {NP_VERTEX_GUARD} vertices; "
-            "pass explicit isomorphisms for larger inputs"
-        )
+        raise SizeGuardExceeded(f"isomorphism enumeration limited to {NP_VERTEX_GUARD} vertices")
     n = k1.vertex_count
     if k2.vertex_count != n or _simplex_counts(k1) != _simplex_counts(k2):
         return math.inf

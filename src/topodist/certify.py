@@ -9,7 +9,8 @@ those discrete homotopies stay within a controlled multiple of eps.
 On lower-star filtrations, checking the shift inequalities at vertices is
 enough: the value of a simplex is the max over its vertices, and max
 commutes with a uniform shift, so every simplex-level inequality follows
-from the vertex-level ones.
+from the vertex-level ones.  On any other filtration it is not, so the
+checker and the search refuse filtrations that are not lower stars.
 
 A passing certificate is an UPPER bound witness; failure of the search to
 find one never means the distance is infinite.
@@ -97,17 +98,31 @@ class CertificateCheck:
         return self.ok
 
 
+def _require_lower_star(fc: FilteredComplex, side: str) -> None:
+    """Raise ValueError unless every simplex of ``fc`` enters at the max of
+    its vertices' values: the conditions are checked at vertices only."""
+    values = fc.filtration
+    for s, value in values.items():
+        if value != max(values[(v,)] for v in s):
+            raise ValueError(
+                f"certificates need lower-star filtrations: {side} gives simplex {s} "
+                f"the value {value}, not the max of its vertex values"
+            )
+
+
 def check_certificate(
     fx: FilteredComplex, fy: FilteredComplex, cert: ShiftCertificate
 ) -> CertificateCheck:
     """Validate every certificate condition; report the first violated one.
 
-    Structural mismatches (maps not between these complexes) raise; semantic
-    failures come back as a named condition so corrupted certificates can be
-    rejected with a precise reason.
+    Structural mismatches (maps not between these complexes, or a filtration
+    that is not a lower star) raise; semantic failures come back as a named
+    condition so corrupted certificates can be rejected with a precise reason.
     """
     if cert.phi.source != fx.complex or cert.phi.target != fy.complex:
         raise ValueError("certificate endpoints do not match the filtered complexes")
+    _require_lower_star(fx, "fx")
+    _require_lower_star(fy, "fy")
 
     if not check_simplicial(cert.phi):
         return CertificateCheck(False, "phi_not_simplicial", "phi maps some simplex outside the target")
@@ -427,6 +442,8 @@ def search_certificate(
         raise SizeGuardExceeded(
             f"certificate search limited to {SEARCH_VERTEX_GUARD} vertices per side"
         )
+    _require_lower_star(fx, "fx")
+    _require_lower_star(fy, "fy")
     f = fx.vertex_values()
     g = fy.vertex_values()
     maps_xy = enumerate_simplicial_maps(X, Y)

@@ -114,12 +114,12 @@ def cmd_mergetree_interleave(args: argparse.Namespace) -> int:
         ok = check_interleaving(t1, t2, args.eps)
         print(f"interleave\t{'true' if ok else 'false'}")
         return EXIT_OK
-    result = interleaving_distance(t1, t2)
-    if isinstance(result, tuple):
-        print(f"interleaving_lower\t{fmt_sig(result[0])}")
-        print(f"interleaving_upper\t{fmt_sig(result[1])}")
+    bound = interleaving_distance(t1, t2)
+    if bound.exact:
+        print(f"interleaving\t{fmt_sig(bound.upper)}")
     else:
-        print(f"interleaving\t{fmt_sig(result)}")
+        print(f"interleaving_lower\t{fmt_sig(bound.lower)}")
+        print(f"interleaving_upper\t{fmt_sig(bound.upper)}")
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -18,6 +19,24 @@ class ParseError(ValueError):
 
 class SizeGuardExceeded(ValueError):
     """An enumeration guard would be blown by the input size."""
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A quantity known to lie in [lower, upper]; exact when the two meet."""
+
+    lower: float
+    upper: float
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.lower) or math.isnan(self.upper) or self.lower > self.upper:
+            raise ValueError(
+                f"a bound needs lower <= upper, got lower {self.lower} and upper {self.upper}"
+            )
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
 
 def fmt_value(x: float) -> str:

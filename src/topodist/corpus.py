@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bottleneck import (
-    BRUTEFORCE_GUARD,
     bottleneck_bruteforce,
     bottleneck_distance,
     linf_distance,
@@ -29,7 +28,7 @@ from .certify import (
 )
 from .common import ParseError, SizeGuardExceeded, content_lines, parse_value
 from .complexes import load_instance, lower_star
-from .mergetree import EXACT_NODE_GUARD, build_merge_tree, diagram_from_tree, interleaving_distance
+from .mergetree import build_merge_tree, diagram_from_tree, interleaving_distance
 from .persistence import compute_diagrams, h0_diagram_unionfind
 
 PROBE_DELTAS = (0.25, 1.0)
@@ -111,6 +110,11 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
     checks = result.checks
     values = result.values
 
+    def leq(name: str, a: float, b: float, label_a: str, label_b: str) -> None:
+        """One row of the inequality chain: a <= b."""
+        detail = f"{label_a} {a} <= {label_b} {b}"
+        checks.append(CheckRow(name, a <= b + VALUE_TOLERANCE, detail))
+
     X, f = load_instance(pair.path_x)
     Y, g = load_instance(pair.path_y)
     fx, fy = lower_star(X, f), lower_star(Y, g)
@@ -130,11 +134,13 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
         db, _ = bottleneck_distance(dx[k], dy[k])
         bottlenecks.append(db)
         values[f"bottleneck{k}"] = db
-        if len(dx[k]) <= BRUTEFORCE_GUARD and len(dy[k]) <= BRUTEFORCE_GUARD:
+        try:
             bf = bottleneck_bruteforce(dx[k], dy[k])
-            checks.append(
-                CheckRow(f"bottleneck_oracle{k}", db == bf, f"matching {db} vs brute force {bf}")
-            )
+        except SizeGuardExceeded:
+            continue
+        checks.append(
+            CheckRow(f"bottleneck_oracle{k}", db == bf, f"matching {db} vs brute force {bf}")
+        )
 
     try:
         values["np_upper"] = natural_pseudo_upper(X, f, Y, g)
@@ -154,27 +160,14 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
         checks.append(
             CheckRow("tree_h0_y", diagram_from_tree(ty) == h0_diagram_unionfind(fy))
         )
-        if len(tx) <= EXACT_NODE_GUARD and len(ty) <= EXACT_NODE_GUARD:
-            inter = interleaving_distance(tx, ty)
-            values["interleaving"] = inter
-            checks.append(
-                CheckRow(
-                    "interleave_above_db",
-                    bottlenecks[0] <= inter + VALUE_TOLERANCE,
-                    f"bottleneck0 {bottlenecks[0]} <= interleaving {inter}",
-                )
-            )
+        inter = interleaving_distance(tx, ty)
+        if inter.exact:
+            values["interleaving"] = inter.upper
+            leq("interleave_above_db", bottlenecks[0], inter.upper, "bottleneck0", "interleaving")
             if same_domain:
-                checks.append(
-                    CheckRow(
-                        "interleave_below_linf",
-                        inter <= values["linf"] + VALUE_TOLERANCE,
-                        f"interleaving {inter} <= linf {values['linf']}",
-                    )
-                )
+                leq("interleave_below_linf", inter.upper, values["linf"], "interleaving", "linf")
 
     dht_upper = math.inf
-    cert = None
     if pair.certificate is not None:
         cert = load_certificate(pair.certificate, X, Y)
         outcome = check_certificate(fx, fy, cert)
@@ -205,8 +198,6 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
                     f"probe_down_{delta:g}: "
                     + ("holds" if probe.down.ok else f"fails ({probe.down.condition})")
                 )
-        else:
-            cert = None
 
     try:
         searched, _ = search_certificate(fx, fy)
@@ -216,38 +207,13 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
     values["dht_upper"] = dht_upper
 
     if not math.isinf(dht_upper):
-        worst_db = max(bottlenecks)
-        checks.append(
-            CheckRow(
-                "sandwich_db_dht",
-                worst_db <= dht_upper + VALUE_TOLERANCE,
-                f"max bottleneck {worst_db} <= dht_upper {dht_upper}",
-            )
-        )
-    if "np_upper" in values and not math.isinf(dht_upper):
-        checks.append(
-            CheckRow(
-                "sandwich_dht_np",
-                dht_upper <= values["np_upper"] + VALUE_TOLERANCE,
-                f"dht_upper {dht_upper} <= np_upper {values['np_upper']}",
-            )
-        )
+        leq("sandwich_db_dht", max(bottlenecks), dht_upper, "max bottleneck", "dht_upper")
+        if "np_upper" in values:
+            leq("sandwich_dht_np", dht_upper, values["np_upper"], "dht_upper", "np_upper")
     if same_domain:
         if not math.isinf(dht_upper):
-            checks.append(
-                CheckRow(
-                    "samedomain_dht_linf",
-                    dht_upper <= values["linf"] + VALUE_TOLERANCE,
-                    f"dht_upper {dht_upper} <= linf {values['linf']}",
-                )
-            )
-        checks.append(
-            CheckRow(
-                "samedomain_db_linf",
-                max(bottlenecks) <= values["linf"] + VALUE_TOLERANCE,
-                f"max bottleneck {max(bottlenecks)} <= linf {values['linf']}",
-            )
-        )
+            leq("samedomain_dht_linf", dht_upper, values["linf"], "dht_upper", "linf")
+        leq("samedomain_db_linf", max(bottlenecks), values["linf"], "max bottleneck", "linf")
 
     if pair.expected is not None:
         for name, want in sorted(_load_expected(pair.expected).items()):

@@ -23,7 +23,15 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .common import ParseError, SizeGuardExceeded, content_lines, fmt_value, parse_int, parse_value
+from .common import (
+    Bound,
+    ParseError,
+    SizeGuardExceeded,
+    content_lines,
+    fmt_value,
+    parse_int,
+    parse_value,
+)
 from .complexes import FilteredComplex
 from .persistence import PersistenceDiagram, _UnionFind
 
@@ -313,24 +321,23 @@ def _collapse_bound(t1: MergeTree, t2: MergeTree) -> float:
     return max(0.0, r2 - lo1, r1 - lo2, (r1 - lo1) / 2.0, (r2 - lo2) / 2.0)
 
 
-def interleaving_distance(t1: MergeTree, t2: MergeTree):
+def interleaving_distance(t1: MergeTree, t2: MergeTree) -> Bound:
     """Min eps admitting an interleaving, exact via the candidate scan.
 
     Above the node guard the exhaustive check is not attempted: the result is
-    then a bracket (lower, upper) = (degree-0 bottleneck distance, collapse
-    bound) instead of a number.
+    then the bracket Bound(degree-0 bottleneck distance, collapse bound).
     """
     from .bottleneck import bottleneck_distance  # cycle-free late import
 
     lower, _ = bottleneck_distance(diagram_from_tree(t1), diagram_from_tree(t2))
     if len(t1) > EXACT_NODE_GUARD or len(t2) > EXACT_NODE_GUARD:
-        return (lower, _collapse_bound(t1, t2))
+        return Bound(lower, _collapse_bound(t1, t2))
     for eps in interleaving_candidates(t1, t2):
         # candidates below the diagram bound cannot be feasible
         if eps < lower:
             continue
         if check_interleaving(t1, t2, eps):
-            return eps
+            return Bound(eps, eps)
     raise AssertionError("collapse bound is always a feasible candidate")
 
 

@@ -160,6 +160,21 @@ def tied_diagram(
     return PersistenceDiagram(0, tuple(points))
 
 
+def caterpillar_tree(steps: int) -> MergeTree:
+    """A spine from a leaf at 0; at step i a leaf at 0.25 + i/64 joins it at
+    height 2 + i.  That makes steps + 1 leaves and 2*steps + 1 nodes."""
+    heights = {0: 0.0}
+    parent: dict[int, int] = {}
+    spine = 0
+    for i in range(steps):
+        leaf, merge = 2 * i + 1, 2 * i + 2
+        heights[leaf] = 0.25 + i / 64.0
+        heights[merge] = 2.0 + i
+        parent[spine] = parent[leaf] = merge
+        spine = merge
+    return MergeTree(heights, parent, spine)
+
+
 def random_merge_tree(rng: random.Random, max_leaves: int, grid: float) -> MergeTree:
     """Leaves on multiples of ``grid`` in [0, 2], merged two or three branches
     at a time, each merge 1 to 1/grid grid steps above its highest child: a

@@ -175,12 +175,13 @@ def test_criterion_5_merge_tree_inequalities():
         t2 = build_merge_tree(lower_star(K, g))
         if len(t1) > 12 or len(t2) > 12:
             continue
-        value = interleaving_distance(t1, t2)
+        bound = interleaving_distance(t1, t2)
+        assert bound.exact
         db, _ = bottleneck_distance(diagram_from_tree(t1), diagram_from_tree(t2))
-        assert db <= value
-        assert value <= linf_distance(f, g)
+        assert db <= bound.lower
+        assert bound.upper <= linf_distance(f, g)
         if oracle_checked < 30 and len(t1) <= 9 and len(t2) <= 9:
-            assert value == _grid_scan_interleaving(t1, t2)
+            assert bound.upper == _grid_scan_interleaving(t1, t2)
             oracle_checked += 1
         done += 1
     assert oracle_checked >= 30

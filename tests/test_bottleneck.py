@@ -7,7 +7,6 @@ from topodist.bottleneck import (
     Matching,
     bottleneck_bruteforce,
     bottleneck_distance,
-    is_isomorphism,
     linf_distance,
     natural_pseudo_upper,
 )
@@ -202,26 +201,12 @@ def test_np_no_isomorphism_is_infinite():
     )
 
 
-def test_np_guard_and_supplied_isomorphisms():
+def test_np_guard():
     n = 10
     K = build_complex([[i, i + 1] for i in range(n - 1)])
     f = VertexFunction(tuple(float(i) for i in range(n)))
     with pytest.raises(SizeGuardExceeded):
         natural_pseudo_upper(K, f, K, f)
-    ident = list(range(n))
-    assert natural_pseudo_upper(K, f, K, f, isomorphisms=[ident]) == 0.0
-    reverse = list(reversed(ident))
-    assert natural_pseudo_upper(K, f, K, f, isomorphisms=[reverse]) == float(n - 1)
-    with pytest.raises(ValueError, match="not an isomorphism"):
-        natural_pseudo_upper(K, f, K, f, isomorphisms=[[0] * n])
-
-
-def test_is_isomorphism():
-    K = build_complex([[0, 1], [1, 2]])
-    assert is_isomorphism(K, K, (0, 1, 2))
-    assert is_isomorphism(K, K, (2, 1, 0))
-    assert not is_isomorphism(K, K, (1, 0, 2))  # breaks the path
-    assert not is_isomorphism(K, K, (0, 0, 1))
 
 
 def test_np_bounded_by_linf_and_bounds_bottleneck():

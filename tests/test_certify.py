@@ -28,6 +28,7 @@ from topodist.certify import (
 )
 from topodist.complexes import (
     ContiguityChain,
+    FilteredComplex,
     SimplicialMap,
     VertexFunction,
     build_complex,
@@ -279,6 +280,7 @@ def coned(rng, K):
 
 def test_search_matches_product_oracle():
     rng = random.Random(31)
+    refused = 0
     for i in range(48):
         if i % 2:
             X = random_connected_complex(rng, min_vertices=2, max_vertices=3)
@@ -287,6 +289,16 @@ def test_search_matches_product_oracle():
             complexes = (random_complex(rng, max_vertices=4), random_complex(rng, max_vertices=4))
         filtered = (random_filtered, random_monotone_filtered, flat_filtered)[i // 2 % 3]
         sides = [filtered(rng, K) for K in complexes]
+        if any(
+            fc.filtration != lower_star(fc.complex, fc.vertex_values()).filtration
+            for fc in sides
+        ):
+            # only random_monotone_filtered makes these; some of its draws are lower stars
+            assert filtered is random_monotone_filtered
+            with pytest.raises(ValueError, match="lower-star"):
+                search_certificate(*sides)
+            refused += 1
+            continue
         for j, budget in enumerate((1, 2, 4)):
             factor = (1.0, 2.0, 3.0)[(i + j) % 3]
             eps, cert = search_certificate(*sides, max_chain_len=budget, control_factor=factor)
@@ -294,6 +306,27 @@ def test_search_matches_product_oracle():
             assert eps == ref_eps
             text = format_certificate(cert) if cert else None
             assert text == (format_certificate(ref_cert) if ref_cert else None)
+    assert refused > 0
+
+
+def test_certificates_refuse_filtrations_that_are_not_lower_stars():
+    # Both vertices of the edge sit at 0 on each side, but fy raises the edge
+    # itself to 10.  Every vertex condition holds at eps 0, yet d_B(H0) = 5:
+    # accepting the pair would report a false stability falsification.
+    edge = build_complex([[0, 1]])
+    fx = lower_star(edge, VertexFunction((0.0, 0.0)))
+    fy = FilteredComplex(edge, {(0,): 0.0, (1,): 0.0, (0, 1): 10.0})
+    cert = identity_certificate(fx)
+    with pytest.raises(ValueError, match="lower-star filtrations: fy gives simplex"):
+        search_certificate(fx, fy)
+    with pytest.raises(ValueError, match="lower-star filtrations: fy gives simplex"):
+        check_certificate(fx, fy, cert)
+    with pytest.raises(ValueError, match="lower-star filtrations: fx gives simplex"):
+        check_certificate(fy, fx, cert)
+    with pytest.raises(ValueError, match="lower-star"):
+        verify_stability(fx, fy, cert, max_degree=1)
+    with pytest.raises(ValueError, match="lower-star"):
+        upshift_asymmetry_probe(fx, fy, cert, 0.25)
 
 
 def test_search_ties_pick_the_smallest_pair():

@@ -7,13 +7,14 @@ from topodist.complexes import VertexFunction, load_instance, lower_star
 from topodist.mergetree import build_merge_tree, format_tree, load_tree
 from topodist.persistence import load_diagrams
 
-from gen import random_connected_complex, random_vertex_function
+from gen import caterpillar_tree, random_connected_complex, random_vertex_function
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus"
 PATH_X = str(CORPUS / "same_domain_path" / "x.txt")
 PATH_Y = str(CORPUS / "same_domain_path" / "y.txt")
 PATH_CERT = str(CORPUS / "same_domain_path" / "cert.txt")
+CORPUS_STDOUT = REPO / "tests" / "data" / "corpus_stdout.txt"
 
 
 def run(capsys, argv):
@@ -161,6 +162,16 @@ def test_mergetree_interleave_eps_size_guard_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "12 nodes" in err
 
 
+def test_mergetree_interleave_distance_bracket_above_guard(tmp_path, capsys):
+    big = tmp_path / "big.tree"
+    point = tmp_path / "point.tree"
+    big.write_text(format_tree(caterpillar_tree(13)), encoding="utf-8")  # 27 nodes
+    point.write_text("node 0 0\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["mergetree", "interleave", str(big), str(point), "--distance"])
+    assert code == 0
+    assert out == "interleaving_lower\t6.78125\ninterleaving_upper\t14\n"
+
+
 def test_mergetree_build_disconnected_exit_2(tmp_path, capsys):
     p = tmp_path / "two.txt"
     p.write_text("n 2\n0\n0\n", encoding="utf-8")
@@ -248,6 +259,13 @@ def test_corpus_passes_and_is_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().endswith("corpus\tresult\tpass")
+
+
+def test_corpus_stdout_matches_recorded_output(capsys):
+    """The shipped corpus prints exactly the recorded report and exits 0."""
+    code, out, _ = run(capsys, ["corpus", str(CORPUS)])
+    assert code == 0
+    assert out.encode("utf-8") == CORPUS_STDOUT.read_bytes()
 
 
 def test_corpus_corrupted_cert_exit_1(tmp_path, capsys):

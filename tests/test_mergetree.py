@@ -4,7 +4,7 @@ import random
 import pytest
 
 from topodist.bottleneck import bottleneck_distance, linf_distance
-from topodist.common import ParseError, SizeGuardExceeded
+from topodist.common import Bound, ParseError, SizeGuardExceeded
 from topodist.complexes import VertexFunction, build_complex, lower_star
 from topodist.mergetree import (
     MergeTree,
@@ -20,7 +20,12 @@ from topodist.mergetree import (
 )
 from topodist.persistence import h0_diagram_unionfind
 
-from gen import random_connected_complex, random_merge_tree, random_vertex_function
+from gen import (
+    caterpillar_tree,
+    random_connected_complex,
+    random_merge_tree,
+    random_vertex_function,
+)
 
 
 def path_tree():
@@ -192,9 +197,9 @@ def test_good_map_matches_product_oracle():
 
 def test_interleaving_distance_examples():
     t = path_tree()
-    assert interleaving_distance(t, t) == 0.0
-    assert interleaving_distance(t, branch_tree()) == 0.5
-    assert interleaving_distance(branch_tree(), t) == 0.5  # symmetry
+    assert interleaving_distance(t, t) == Bound(0.0, 0.0)
+    assert interleaving_distance(t, branch_tree()) == Bound(0.5, 0.5)
+    assert interleaving_distance(branch_tree(), t) == Bound(0.5, 0.5)  # symmetry
 
 
 def test_interleaving_monotone_in_eps():
@@ -223,10 +228,11 @@ def test_interleaving_between_db_and_linf():
         t2 = build_merge_tree(lower_star(K, g))
         if len(t1) > 12 or len(t2) > 12:
             continue
-        value = interleaving_distance(t1, t2)
+        bound = interleaving_distance(t1, t2)
+        assert bound.exact
         db, _ = bottleneck_distance(diagram_from_tree(t1), diagram_from_tree(t2))
-        assert db <= value
-        assert value <= linf_distance(f, g)
+        assert db <= bound.lower
+        assert bound.upper <= linf_distance(f, g)
         done += 1
 
 
@@ -239,32 +245,19 @@ def test_interleaving_matches_grid_oracle():
         t2 = build_merge_tree(lower_star(K, random_vertex_function(rng, K.vertex_count)))
         if len(t1) > 9 or len(t2) > 9:
             continue
-        assert interleaving_distance(t1, t2) == grid_scan_interleaving(t1, t2)
+        bound = interleaving_distance(t1, t2)
+        assert bound.exact and bound.upper == grid_scan_interleaving(t1, t2)
         done += 1
 
 
 def test_bracket_above_node_guard():
-    heights = {}
-    parent = {}
-    # caterpillar with 13 leaves: 26 nodes, beyond the exactness guard
-    heights[0] = 0.0
-    nxt = 1
-    spine = 0
-    for i in range(13):
-        heights[nxt] = 0.25 + i / 64.0
-        heights[nxt + 1] = 2.0 + i
-        parent[spine] = nxt + 1
-        parent[nxt] = nxt + 1
-        spine = nxt + 1
-        nxt += 2
-    big = MergeTree(heights, parent, spine)
-    result = interleaving_distance(big, branch_tree())
-    assert isinstance(result, tuple)
-    lower, upper = result
-    assert 0.0 <= lower <= upper
-    assert check_interleaving(big, branch_tree(), upper, node_guard=len(big))
+    big = caterpillar_tree(13)  # 27 nodes, beyond the exactness guard
+    bound = interleaving_distance(big, branch_tree())
+    assert not bound.exact
+    assert 0.0 <= bound.lower < bound.upper
+    assert check_interleaving(big, branch_tree(), bound.upper, node_guard=len(big))
     with pytest.raises(SizeGuardExceeded):
-        check_interleaving(big, branch_tree(), upper)
+        check_interleaving(big, branch_tree(), bound.upper)
 
 
 def test_tree_validation():
