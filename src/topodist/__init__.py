@@ -51,7 +51,6 @@ from .complexes import (
     identity_map,
     load_instance,
     lower_star,
-    maximal_simplices,
     parse_instance,
     save_instance,
 )

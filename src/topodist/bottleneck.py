@@ -32,7 +32,7 @@ from itertools import chain, islice, permutations
 from typing import Sequence
 
 from .common import SizeGuardExceeded
-from .complexes import SimplicialComplex, VertexFunction, maximal_simplices
+from .complexes import SimplicialComplex, VertexFunction, _require_fits
 from .persistence import PersistenceDiagram
 
 BRUTEFORCE_GUARD = 8
@@ -239,7 +239,7 @@ def _vertex_profile(complex: SimplicialComplex) -> list[tuple[int, ...]]:
     """Per vertex, the sorted sizes of the facets containing it (an isomorphism
     invariant used to prune the search)."""
     profile: list[list[int]] = [[] for _ in range(complex.vertex_count)]
-    for facet in maximal_simplices(complex):
+    for facet in complex.facets:
         for v in facet:
             profile[v].append(len(facet))
     return [tuple(sorted(p)) for p in profile]
@@ -254,8 +254,8 @@ def natural_pseudo_upper(
     ranges over all homeomorphisms, which a finite enumeration cannot exhaust.
     Returns inf when the complexes are not isomorphic.
     """
-    if len(f) != k1.vertex_count or len(g) != k2.vertex_count:
-        raise ValueError("function length does not match its complex")
+    _require_fits(k1, f)
+    _require_fits(k2, g)
     if k1.vertex_count > NP_VERTEX_GUARD or k2.vertex_count > NP_VERTEX_GUARD:
         raise SizeGuardExceeded(f"isomorphism enumeration limited to {NP_VERTEX_GUARD} vertices")
     n = k1.vertex_count
@@ -266,7 +266,7 @@ def natural_pseudo_upper(
 
     prof1, prof2 = _vertex_profile(k1), _vertex_profile(k2)
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for s in maximal_simplices(k1):
+    for s in k1.facets:
         by_max[s[-1]].append(s)
 
     best = math.inf

@@ -1,4 +1,4 @@
-"""Certificates bounding the homotopy-type shift between two filtered complexes.
+"""Certificates bounding the homotopy-type shift between two vertex functions.
 
 A certificate (phi, psi, eps, two contiguity chains) witnesses that the
 sublevel filtrations of f on X and g on Y are homotopy equivalent up to an
@@ -6,11 +6,11 @@ eps shift: phi and psi raise values by at most eps at every vertex, the
 chains certify psi.phi ~ id_X and phi.psi ~ id_Y, and the values swept by
 those discrete homotopies stay within a controlled multiple of eps.
 
-On lower-star filtrations, checking the shift inequalities at vertices is
-enough: the value of a simplex is the max over its vertices, and max
-commutes with a uniform shift, so every simplex-level inequality follows
-from the vertex-level ones.  On any other filtration it is not, so the
-checker and the search refuse filtrations that are not lower stars.
+Every entry point takes the complexes and their vertex functions, so the
+filtration is the lower star of f and of g by definition.  There, checking
+the shift inequalities at vertices is enough: the value of a simplex is the
+max over its vertices, and max commutes with a uniform shift, so every
+simplex-level inequality follows from the vertex-level ones.
 
 A passing certificate is an UPPER bound witness; failure of the search to
 find one never means the distance is infinite.
@@ -22,7 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from operator import itemgetter, or_
+from operator import itemgetter, or_, sub
 from pathlib import Path
 from typing import Callable
 
@@ -30,16 +30,17 @@ from .bottleneck import bottleneck_distance
 from .common import ParseError, SizeGuardExceeded, content_lines, fmt_value, parse_int, parse_value
 from .complexes import (
     ContiguityChain,
-    FilteredComplex,
     Simplex,
     SimplicialComplex,
     SimplicialMap,
+    VertexFunction,
+    _require_fits,
     check_contiguity_chain,
     check_simplicial,
     compose,
     homotopy_sup_control,
     identity_map,
-    maximal_simplices,
+    lower_star,
 )
 from .persistence import compute_diagrams
 
@@ -63,10 +64,15 @@ CONDITIONS = (
 )
 
 
+def _require_control_factor(factor: float) -> None:
+    if not factor > 0 or math.isinf(factor):
+        raise ValueError("control_factor must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ShiftCertificate:
-    """Witness that an eps shift makes the two filtered complexes homotopy
-    equivalent in the certified sense; see check_certificate."""
+    """Witness that an eps shift makes the sublevel filtrations of two vertex
+    functions homotopy equivalent in the certified sense; see check_certificate."""
 
     phi: SimplicialMap
     psi: SimplicialMap
@@ -78,8 +84,7 @@ class ShiftCertificate:
     def __post_init__(self) -> None:
         if math.isnan(self.eps) or math.isinf(self.eps) or self.eps < 0:
             raise ValueError("eps must be finite and non-negative")
-        if not self.control_factor > 0 or math.isinf(self.control_factor):
-            raise ValueError("control_factor must be positive and finite")
+        _require_control_factor(self.control_factor)
         if self.phi.source != self.psi.target or self.phi.target != self.psi.source:
             raise ValueError("phi and psi must be mutually inverse in shape")
         if self.chain_x.source != self.phi.source or self.chain_x.target != self.phi.source:
@@ -98,31 +103,24 @@ class CertificateCheck:
         return self.ok
 
 
-def _require_lower_star(fc: FilteredComplex, side: str) -> None:
-    """Raise ValueError unless every simplex of ``fc`` enters at the max of
-    its vertices' values: the conditions are checked at vertices only."""
-    values = fc.filtration
-    for s, value in values.items():
-        if value != max(values[(v,)] for v in s):
-            raise ValueError(
-                f"certificates need lower-star filtrations: {side} gives simplex {s} "
-                f"the value {value}, not the max of its vertex values"
-            )
-
-
 def check_certificate(
-    fx: FilteredComplex, fy: FilteredComplex, cert: ShiftCertificate
+    X: SimplicialComplex,
+    f: VertexFunction,
+    Y: SimplicialComplex,
+    g: VertexFunction,
+    cert: ShiftCertificate,
 ) -> CertificateCheck:
-    """Validate every certificate condition; report the first violated one.
+    """Validate every certificate condition for f on X and g on Y; report the
+    first violated one.
 
-    Structural mismatches (maps not between these complexes, or a filtration
-    that is not a lower star) raise; semantic failures come back as a named
+    Structural mismatches (a function of the wrong length, or maps not
+    between these complexes) raise; semantic failures come back as a named
     condition so corrupted certificates can be rejected with a precise reason.
     """
-    if cert.phi.source != fx.complex or cert.phi.target != fy.complex:
-        raise ValueError("certificate endpoints do not match the filtered complexes")
-    _require_lower_star(fx, "fx")
-    _require_lower_star(fy, "fy")
+    _require_fits(X, f)
+    _require_fits(Y, g)
+    if cert.phi.source != X or cert.phi.target != Y:
+        raise ValueError("certificate endpoints do not match the complexes")
 
     if not check_simplicial(cert.phi):
         return CertificateCheck(False, "phi_not_simplicial", "phi maps some simplex outside the target")
@@ -136,7 +134,7 @@ def check_certificate(
     psi_phi = compose(cert.psi, cert.phi)
     if (
         cert.chain_x.maps[0].vertex_image != psi_phi.vertex_image
-        or cert.chain_x.maps[-1].vertex_image != identity_map(fx.complex).vertex_image
+        or cert.chain_x.maps[-1].vertex_image != identity_map(X).vertex_image
     ):
         return CertificateCheck(
             False, "chain_x_endpoints", "chain_x must run from psi.phi to the identity"
@@ -144,14 +142,12 @@ def check_certificate(
     phi_psi = compose(cert.phi, cert.psi)
     if (
         cert.chain_y.maps[0].vertex_image != phi_psi.vertex_image
-        or cert.chain_y.maps[-1].vertex_image != identity_map(fy.complex).vertex_image
+        or cert.chain_y.maps[-1].vertex_image != identity_map(Y).vertex_image
     ):
         return CertificateCheck(
             False, "chain_y_endpoints", "chain_y must run from phi.psi to the identity"
         )
 
-    f = fx.vertex_values()
-    g = fy.vertex_values()
     for v in range(len(f)):
         if g[cert.phi(v)] - f[v] > cert.eps:
             return CertificateCheck(
@@ -168,14 +164,14 @@ def check_certificate(
             )
 
     allowance = cert.control_factor * cert.eps
-    for v, bound in enumerate(homotopy_sup_control(cert.chain_x, fx)):
+    for v, bound in enumerate(homotopy_sup_control(cert.chain_x, f)):
         if bound - f[v] > allowance:
             return CertificateCheck(
                 False,
                 "control_x",
                 f"vertex {v}: homotopy sweeps {bound} > f(v) + {cert.control_factor}*eps",
             )
-    for w, bound in enumerate(homotopy_sup_control(cert.chain_y, fy)):
+    for w, bound in enumerate(homotopy_sup_control(cert.chain_y, g)):
         if bound - g[w] > allowance:
             return CertificateCheck(
                 False,
@@ -195,7 +191,7 @@ def _facet_completion_order(complex: SimplicialComplex) -> tuple[list[int], list
     facets whose vertices are all assigned exactly there."""
     order: list[int] = []
     seen: set[int] = set()
-    facets = sorted(maximal_simplices(complex), key=lambda s: (-len(s), s))
+    facets = sorted(complex.facets, key=lambda s: (-len(s), s))
     for facet in facets:
         for v in facet:
             if v not in seen:
@@ -287,7 +283,7 @@ def _chains_to_identity(
     prev: dict[tuple[int, ...], tuple[int, ...] | None] = {ident: None}
     if max_steps == 0 or n == 0:
         return prev
-    facets = maximal_simplices(complex)
+    facets = complex.facets
     # the repeated first vertex makes a one-vertex facet's image a tuple too
     images_of = [itemgetter(*facet, facet[0]) for facet in facets]
     by_tuple: list[dict[tuple[int, ...], array[int]]] = [{} for _ in facets]
@@ -361,7 +357,8 @@ def _chain_from(
 
 
 def _control_excess(
-    fc: FilteredComplex,
+    complex: SimplicialComplex,
+    f: VertexFunction,
     prev: dict[tuple[int, ...], tuple[int, ...] | None],
     memo: dict[tuple[int, ...], tuple[float, ...]],
     h: tuple[int, ...],
@@ -370,9 +367,8 @@ def _control_excess(
     vertex's own value, as check_certificate computes it; memoised per h."""
     excess = memo.get(h)
     if excess is None:
-        f = fc.vertex_values()
-        bounds = homotopy_sup_control(_chain_from(fc.complex, prev, h), fc)
-        excess = memo[h] = tuple(bound - f[v] for v, bound in enumerate(bounds))
+        bounds = homotopy_sup_control(_chain_from(complex, prev, h), f)
+        excess = memo[h] = tuple(map(sub, bounds, f.values))
     return excess
 
 
@@ -411,12 +407,15 @@ def _factor_through(
 
 
 def search_certificate(
-    fx: FilteredComplex,
-    fy: FilteredComplex,
+    X: SimplicialComplex,
+    f: VertexFunction,
+    Y: SimplicialComplex,
+    g: VertexFunction,
     max_chain_len: int = DEFAULT_MAX_CHAIN_LEN,
     control_factor: float = DEFAULT_CONTROL_FACTOR,
 ) -> tuple[float, ShiftCertificate | None]:
-    """Search simplicial map pairs and certify the best shift found.
+    """Search simplicial map pairs X <-> Y and certify the best shift found
+    for f on X and g on Y.
 
     For every simplicial pair (phi, psi) whose round trips reach the identity
     in the contiguity graph within max_chain_len maps, the least certified
@@ -437,15 +436,13 @@ def search_certificate(
     """
     if max_chain_len < 1:
         raise ValueError("max_chain_len must be at least 1")
-    X, Y = fx.complex, fy.complex
+    _require_control_factor(control_factor)
+    _require_fits(X, f)
+    _require_fits(Y, g)
     if X.vertex_count > SEARCH_VERTEX_GUARD or Y.vertex_count > SEARCH_VERTEX_GUARD:
         raise SizeGuardExceeded(
             f"certificate search limited to {SEARCH_VERTEX_GUARD} vertices per side"
         )
-    _require_lower_star(fx, "fx")
-    _require_lower_star(fy, "fy")
-    f = fx.vertex_values()
-    g = fy.vertex_values()
     maps_xy = enumerate_simplicial_maps(X, Y)
     maps_yx = enumerate_simplicial_maps(Y, X)
     if not maps_xy or not maps_yx:
@@ -454,8 +451,8 @@ def search_certificate(
     reach_y = _chains_to_identity(Y, max_chain_len - 1)
     shift_xy = {phi: max([0.0, *(g[w] - f[v] for v, w in enumerate(phi))]) for phi in maps_xy}
     shift_yx = {psi: max([0.0, *(f[v] - g[w] for w, v in enumerate(psi))]) for psi in maps_yx}
-    excess_x = partial(_control_excess, fx, reach_x, {})
-    excess_y = partial(_control_excess, fy, reach_y, {})
+    excess_x = partial(_control_excess, X, f, reach_x, {})
+    excess_y = partial(_control_excess, Y, g, reach_y, {})
     # An outer map a and a reachable round trip b.a = h pin the inner map b
     # on image(a), so b is looked up by that restriction instead of tried
     # against each a.  The outer side is the one with fewer reachable round
@@ -519,7 +516,7 @@ def search_certificate(
         _chain_from(Y, reach_y, tuple(phi[v] for v in psi)),
         control_factor,
     )
-    outcome = check_certificate(fx, fy, cert)
+    outcome = check_certificate(X, f, Y, g, cert)
     if not outcome.ok:
         raise AssertionError(
             f"search built a certificate that fails {outcome.condition}: {outcome.detail}"
@@ -548,24 +545,27 @@ class StabilityReport:
 
 
 def verify_stability(
-    fx: FilteredComplex,
-    fy: FilteredComplex,
+    X: SimplicialComplex,
+    f: VertexFunction,
+    Y: SimplicialComplex,
+    g: VertexFunction,
     cert: ShiftCertificate,
     max_degree: int = 2,
 ) -> StabilityReport:
-    """Check d_B <= certified eps in every degree up to max_degree.
+    """Check d_B <= certified eps in every degree up to max_degree, on the
+    lower-star diagrams of f and g.
 
     Refuses to run on a failing certificate.  A violation is reported in the
     result (it would falsify the stability theorem, i.e. reveal a bug), not
     raised.
     """
-    result = check_certificate(fx, fy, cert)
+    result = check_certificate(X, f, Y, g, cert)
     if not result.ok:
         raise ValueError(
             f"refusing to verify stability with a failing certificate ({result.condition})"
         )
-    dx = compute_diagrams(fx, max_degree)
-    dy = compute_diagrams(fy, max_degree)
+    dx = compute_diagrams(lower_star(X, f), max_degree)
+    dy = compute_diagrams(lower_star(Y, g), max_degree)
     entries = []
     for k in range(max_degree + 1):
         db, _ = bottleneck_distance(dx[k], dy[k])
@@ -584,7 +584,12 @@ class ProbeReport:
 
 
 def upshift_asymmetry_probe(
-    fx: FilteredComplex, fy: FilteredComplex, cert: ShiftCertificate, delta: float
+    X: SimplicialComplex,
+    f: VertexFunction,
+    Y: SimplicialComplex,
+    g: VertexFunction,
+    cert: ShiftCertificate,
+    delta: float,
 ) -> ProbeReport:
     """Re-check the same maps after shifting g by +delta and by -delta.
 
@@ -593,13 +598,13 @@ def upshift_asymmetry_probe(
     grow).  Lowering g by delta and keeping eps may or may not pass; the
     probe records the observation either way.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    result = check_certificate(fx, fy, cert)
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
+    result = check_certificate(X, f, Y, g, cert)
     if not result.ok:
         raise ValueError(f"probe needs a valid certificate ({result.condition})")
-    up = check_certificate(fx, fy.shifted(delta), replace(cert, eps=cert.eps + delta))
-    down = check_certificate(fx, fy.shifted(-delta), cert)
+    up = check_certificate(X, f, Y, g.shifted(delta), replace(cert, eps=cert.eps + delta))
+    down = check_certificate(X, f, Y, g.shifted(-delta), cert)
     return ProbeReport(delta, cert.eps + delta, up, down)
 
 

@@ -49,12 +49,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _load_filtered(path: str):
-    complex, f = load_instance(path)
-    return complex, f, lower_star(complex, f)
+    return lower_star(*load_instance(path))
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    _, _, fc = _load_filtered(args.input)
+    fc = _load_filtered(args.input)
     diagrams = compute_diagrams(fc, args.max_degree)
     _emit(diagrams_to_tsv(diagrams), args.output)
     return EXIT_OK
@@ -64,8 +63,8 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     if args.matching is not None and args.degree is None:
         print("error: --matching needs an explicit --degree", file=sys.stderr)
         return EXIT_USAGE
-    _, _, fcx = _load_filtered(args.file_x)
-    _, _, fcy = _load_filtered(args.file_y)
+    fcx = _load_filtered(args.file_x)
+    fcy = _load_filtered(args.file_y)
     degrees = [args.degree] if args.degree is not None else list(range(args.max_degree + 1))
     top = max(degrees)
     dx = compute_diagrams(fcx, top)
@@ -83,8 +82,8 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
 
 
 def cmd_linf(args: argparse.Namespace) -> int:
-    kx, f, _ = _load_filtered(args.file_x)
-    ky, g, _ = _load_filtered(args.file_y)
+    kx, f = load_instance(args.file_x)
+    ky, g = load_instance(args.file_y)
     if kx != ky:
         print("error: linf needs both functions on the same complex", file=sys.stderr)
         return EXIT_USAGE
@@ -93,15 +92,15 @@ def cmd_linf(args: argparse.Namespace) -> int:
 
 
 def cmd_np_bound(args: argparse.Namespace) -> int:
-    kx, f, _ = _load_filtered(args.file_x)
-    ky, g, _ = _load_filtered(args.file_y)
+    kx, f = load_instance(args.file_x)
+    ky, g = load_instance(args.file_y)
     value = natural_pseudo_upper(kx, f, ky, g)
     print(f"np_upper\t{fmt_sig(value)}")
     return EXIT_OK
 
 
 def cmd_mergetree_build(args: argparse.Namespace) -> int:
-    _, _, fc = _load_filtered(args.input)
+    fc = _load_filtered(args.input)
     tree = build_merge_tree(fc)
     _emit(format_tree(tree), args.output)
     return EXIT_OK
@@ -124,10 +123,10 @@ def cmd_mergetree_interleave(args: argparse.Namespace) -> int:
 
 
 def cmd_dht_check(args: argparse.Namespace) -> int:
-    kx, _, fcx = _load_filtered(args.file_x)
-    ky, _, fcy = _load_filtered(args.file_y)
-    cert = load_certificate(args.certificate, kx, ky)
-    outcome = check_certificate(fcx, fcy, cert)
+    X, f = load_instance(args.file_x)
+    Y, g = load_instance(args.file_y)
+    cert = load_certificate(args.certificate, X, Y)
+    outcome = check_certificate(X, f, Y, g, cert)
     print(f"cert_ok\t{'true' if outcome.ok else 'false'}")
     if outcome.ok:
         print(f"eps\t{fmt_sig(cert.eps)}")
@@ -139,10 +138,10 @@ def cmd_dht_check(args: argparse.Namespace) -> int:
 
 
 def cmd_dht_search(args: argparse.Namespace) -> int:
-    _, _, fcx = _load_filtered(args.file_x)
-    _, _, fcy = _load_filtered(args.file_y)
+    X, f = load_instance(args.file_x)
+    Y, g = load_instance(args.file_y)
     eps, cert = search_certificate(
-        fcx, fcy, max_chain_len=args.max_chain, control_factor=args.factor
+        X, f, Y, g, max_chain_len=args.max_chain, control_factor=args.factor
     )
     print(f"dht_upper\t{fmt_sig(eps)}")
     if cert is not None and args.cert_out is not None:
@@ -151,15 +150,15 @@ def cmd_dht_search(args: argparse.Namespace) -> int:
 
 
 def cmd_dht_stability(args: argparse.Namespace) -> int:
-    kx, _, fcx = _load_filtered(args.file_x)
-    ky, _, fcy = _load_filtered(args.file_y)
-    cert = load_certificate(args.certificate, kx, ky)
-    outcome = check_certificate(fcx, fcy, cert)
+    X, f = load_instance(args.file_x)
+    Y, g = load_instance(args.file_y)
+    cert = load_certificate(args.certificate, X, Y)
+    outcome = check_certificate(X, f, Y, g, cert)
     if not outcome.ok:
         print("cert_ok\tfalse")
         print(f"violated\t{outcome.condition}")
         return EXIT_FALSIFIED
-    report = verify_stability(fcx, fcy, cert, max_degree=args.max_degree)
+    report = verify_stability(X, f, Y, g, cert, max_degree=args.max_degree)
     for entry in report.entries:
         print(
             f"stability{entry.degree}\t{fmt_sig(entry.bottleneck)}"
@@ -170,10 +169,10 @@ def cmd_dht_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_dht_probe(args: argparse.Namespace) -> int:
-    kx, _, fcx = _load_filtered(args.file_x)
-    ky, _, fcy = _load_filtered(args.file_y)
-    cert = load_certificate(args.certificate, kx, ky)
-    report = upshift_asymmetry_probe(fcx, fcy, cert, args.delta)
+    X, f = load_instance(args.file_x)
+    Y, g = load_instance(args.file_y)
+    cert = load_certificate(args.certificate, X, Y)
+    report = upshift_asymmetry_probe(X, f, Y, g, cert, args.delta)
     print(f"upshift_ok\t{'true' if report.up.ok else 'false'}")
     print(f"upshift_eps\t{fmt_sig(report.up_eps)}")
     print(f"downshift_ok\t{'true' if report.down.ok else 'false'}")

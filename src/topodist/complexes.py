@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -70,19 +70,19 @@ class SimplicialComplex:
         """Dimension of the complex; -1 when empty."""
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
+    @cached_property
+    def facets(self) -> tuple[Simplex, ...]:
+        """Maximal simplices (those in no bigger simplex), by (size, vertex tuple).
 
-@lru_cache(maxsize=None)
-def maximal_simplices(complex: SimplicialComplex) -> tuple[Simplex, ...]:
-    """Facets of the complex (simplices not contained in a bigger one).
-
-    Most per-simplex conditions used in this package (simpliciality of a map,
-    contiguity of two maps) are inherited by faces, so checking facets alone
-    is enough.  Face closure makes every proper face of a simplex a
-    codimension-1 face of some simplex, so the facets are the simplices that
-    are no simplex's codimension-1 face.
-    """
-    faces = {f for s in complex.simplices for f in combinations(s, len(s) - 1)}
-    return tuple(sorted(complex.simplices - faces, key=lambda s: (len(s), s)))
+        Most per-simplex conditions used in this package (simpliciality of a
+        map, contiguity of two maps) are inherited by faces, so checking
+        facets alone is enough.  Face closure makes every proper face of a
+        simplex a codimension-1 face of some simplex, so the facets are the
+        simplices that are no simplex's codimension-1 face.  Cached on the
+        complex, so it lives exactly as long as the complex does.
+        """
+        faces = {f for s in self.simplices for f in combinations(s, len(s) - 1)}
+        return tuple(sorted(self.simplices - faces, key=lambda s: (len(s), s)))
 
 
 def build_complex(
@@ -153,6 +153,14 @@ class VertexFunction:
         return VertexFunction(tuple(v + c for v in self.values))
 
 
+def _require_fits(complex: SimplicialComplex, f: VertexFunction) -> None:
+    """Raise ValueError unless ``f`` has one value per vertex of ``complex``."""
+    if len(f) != complex.vertex_count:
+        raise ValueError(
+            f"function length {len(f)} != vertex count {complex.vertex_count}"
+        )
+
+
 @dataclass
 class FilteredComplex:
     """A complex with a monotone real value per simplex.
@@ -188,27 +196,10 @@ class FilteredComplex:
         order.sort(key=self.filtration.__getitem__)
         return tuple(order)
 
-    def value(self, s: Sequence[int]) -> float:
-        return self.filtration[tuple(s)]
-
-    def vertex_values(self) -> VertexFunction:
-        return VertexFunction(
-            tuple(self.filtration[(v,)] for v in range(self.complex.vertex_count))
-        )
-
-    def shifted(self, c: float) -> FilteredComplex:
-        """The same filtration with every value shifted by ``c``."""
-        return FilteredComplex(
-            self.complex, {s: v + c for s, v in self.filtration.items()}
-        )
-
 
 def lower_star(complex: SimplicialComplex, f: VertexFunction) -> FilteredComplex:
     """Lower-star filtration: every simplex enters at the max of its vertices."""
-    if len(f) != complex.vertex_count:
-        raise ValueError(
-            f"function length {len(f)} != vertex count {complex.vertex_count}"
-        )
+    _require_fits(complex, f)
     values = f.values
     return _trusted(
         FilteredComplex,
@@ -262,7 +253,7 @@ def check_simplicial(map: SimplicialMap) -> bool:
     of the facet, and target simplices are closed under subsets.
     """
     simplices = map.target.simplices
-    return all(map.apply(s) in simplices for s in maximal_simplices(map.source))
+    return all(map.apply(s) in simplices for s in map.source.facets)
 
 
 def contiguous(m1: SimplicialMap, m2: SimplicialMap) -> bool:
@@ -270,7 +261,7 @@ def contiguous(m1: SimplicialMap, m2: SimplicialMap) -> bool:
     if m1.source != m2.source or m1.target != m2.target:
         raise ValueError("contiguity requires maps with the same source and target")
     simplices = m1.target.simplices
-    for s in maximal_simplices(m1.source):
+    for s in m1.source.facets:
         union = set(m1.apply(s)) | set(m2.apply(s))
         if tuple(sorted(union)) not in simplices:
             return False
@@ -318,33 +309,21 @@ def check_contiguity_chain(chain: ContiguityChain) -> bool:
 
 
 def homotopy_sup_control(
-    chain: ContiguityChain, g_filtered: FilteredComplex
+    chain: ContiguityChain, g: VertexFunction
 ) -> tuple[float, ...]:
-    """Per source vertex, an upper bound on the filtration value swept by the chain.
+    """Per source vertex, the max of g over that vertex's images along the chain.
 
-    Moving a vertex v from one map's image to the next one's stays inside the
-    simplex spanned by the two image vertices (contiguity makes it a simplex),
-    so the sweep through v is bounded by the max of the image-vertex values and
-    of the values of those connecting simplices.
+    This bounds the lower-star value of g swept by the chain through the
+    vertex: moving it from one map's image to the next stays inside the
+    simplex spanned by the two image vertices (contiguity makes it a
+    simplex), and a lower-star simplex enters at the max of its vertices,
+    both of which are among the images.
     """
-    if chain.target != g_filtered.complex:
-        raise ValueError("chain target does not match the filtered complex")
-    values = g_filtered.filtration
-    bounds: list[float] = []
-    for v in range(chain.source.vertex_count):
-        images = [m.vertex_image[v] for m in chain.maps]
-        bound = max(values[(w,)] for w in images)
-        for a, b in zip(images, images[1:]):
-            if a != b:
-                step = values.get((min(a, b), max(a, b)))
-                if step is None:
-                    raise ValueError(
-                        "chain is not contiguous: consecutive images "
-                        f"{a},{b} do not span a simplex"
-                    )
-                bound = max(bound, step)
-        bounds.append(bound)
-    return tuple(bounds)
+    if len(g) != chain.target.vertex_count:
+        raise ValueError("function length does not match the chain target")
+    values = g.values
+    images = zip(*(m.vertex_image for m in chain.maps))
+    return tuple(max(map(values.__getitem__, ws)) for ws in images)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +378,11 @@ def parse_instance(
 
 
 def format_instance(complex: SimplicialComplex, f: VertexFunction) -> str:
-    if len(f) != complex.vertex_count:
-        raise ValueError("function length does not match the complex")
+    _require_fits(complex, f)
     out = [f"n {complex.vertex_count}"]
     out.extend(fmt_value(v) for v in f)
     # isolated vertices are implied by the header; only facets of size >= 2 matter
-    for s in maximal_simplices(complex):
+    for s in complex.facets:
         if len(s) > 1:
             out.append("s " + " ".join(str(v) for v in s))
     return "\n".join(out) + "\n"

@@ -170,13 +170,13 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
     dht_upper = math.inf
     if pair.certificate is not None:
         cert = load_certificate(pair.certificate, X, Y)
-        outcome = check_certificate(fx, fy, cert)
+        outcome = check_certificate(X, f, Y, g, cert)
         checks.append(
             CheckRow("cert_valid", outcome.ok, outcome.condition or "all conditions hold")
         )
         if outcome.ok:
             dht_upper = cert.eps
-            report = verify_stability(fx, fy, cert, max_degree=kmax)
+            report = verify_stability(X, f, Y, g, cert, max_degree=kmax)
             for entry in report.entries:
                 checks.append(
                     CheckRow(
@@ -186,7 +186,7 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
                     )
                 )
             for delta in PROBE_DELTAS:
-                probe = upshift_asymmetry_probe(fx, fy, cert, delta)
+                probe = upshift_asymmetry_probe(X, f, Y, g, cert, delta)
                 checks.append(
                     CheckRow(
                         f"probe_up_{delta:g}",
@@ -200,7 +200,7 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
                 )
 
     try:
-        searched, _ = search_certificate(fx, fy)
+        searched, _ = search_certificate(X, f, Y, g)
         dht_upper = min(dht_upper, searched)
     except SizeGuardExceeded:
         result.notes.append("certificate search skipped: vertex guard")

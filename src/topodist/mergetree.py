@@ -294,8 +294,8 @@ def check_interleaving(
     None.  The search backtracks over leaf images, so trees above the node
     guard raise SizeGuardExceeded.
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not eps >= 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
     if len(t1) > node_guard or len(t2) > node_guard:
         raise SizeGuardExceeded(f"exact interleaving limited to {node_guard} nodes per tree")
     return _good_map(t1, t2, eps)

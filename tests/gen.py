@@ -102,10 +102,14 @@ def random_filtered(rng: random.Random, complex: SimplicialComplex) -> FilteredC
     return lower_star(complex, random_vertex_function(rng, complex.vertex_count))
 
 
+def tied_vertex_function(rng: random.Random, n: int) -> VertexFunction:
+    """Values on a coarse quarter grid: many vertices tie."""
+    return VertexFunction(tuple(rng.randint(0, 4) / 4.0 for _ in range(n)))
+
+
 def tied_filtered(rng: random.Random, complex: SimplicialComplex) -> FilteredComplex:
     """Lower-star values on a coarse quarter grid: many simplices tie."""
-    values = tuple(rng.randint(0, 4) / 4.0 for _ in range(complex.vertex_count))
-    return lower_star(complex, VertexFunction(values))
+    return lower_star(complex, tied_vertex_function(rng, complex.vertex_count))
 
 
 def random_monotone_filtered(

@@ -63,13 +63,12 @@ PAIR_NAMES = (
 
 
 def load_pair(name):
-    X, f = load_instance(CORPUS / name / "x.txt")
-    Y, g = load_instance(CORPUS / name / "y.txt")
-    return lower_star(X, f), lower_star(Y, g)
+    """The shipped pair as (X, f, Y, g)."""
+    return (*load_instance(CORPUS / name / "x.txt"), *load_instance(CORPUS / name / "y.txt"))
 
 
-def load_pair_certificate(name, fx, fy):
-    return load_certificate(CORPUS / name / "cert.txt", fx.complex, fy.complex)
+def load_pair_certificate(name, pair):
+    return load_certificate(CORPUS / name / "cert.txt", pair[0], pair[2])
 
 
 def test_criterion_1_classical_stability():
@@ -91,14 +90,14 @@ def test_criterion_1_classical_stability():
 def test_criterion_2_main_theorem_on_curated_pairs():
     """d_B <= certified eps in every degree, for shipped and searched certs."""
     for name in PAIR_NAMES:
-        fx, fy = load_pair(name)
-        kmax = max(fx.complex.dim, fy.complex.dim, 0)
-        certs = [load_pair_certificate(name, fx, fy)]
-        searched_eps, searched = search_certificate(fx, fy)
+        pair = load_pair(name)
+        kmax = max(pair[0].dim, pair[2].dim, 0)
+        certs = [load_pair_certificate(name, pair)]
+        searched_eps, searched = search_certificate(*pair)
         assert searched is not None, f"{name}: no certificate found"
         certs.append(searched)
         for cert in certs:
-            report = verify_stability(fx, fy, cert, max_degree=kmax)
+            report = verify_stability(*pair, cert, max_degree=kmax)
             assert report.ok, (name, report)
             for entry in report.entries:
                 assert entry.bottleneck <= cert.eps + TOL
@@ -135,16 +134,14 @@ def test_criterion_3c_tree_readout_vs_unionfind():
 def test_criterion_4_sandwich_chain():
     """d_B <= dht_upper <= np_upper, and dht_upper <= linf on a shared domain."""
     for name in PAIR_NAMES:
-        fx, fy = load_pair(name)
-        X, Y = fx.complex, fy.complex
-        f, g = fx.vertex_values(), fy.vertex_values()
+        X, f, Y, g = pair = load_pair(name)
         kmax = max(X.dim, Y.dim, 0)
-        cert = load_pair_certificate(name, fx, fy)
-        searched_eps, _ = search_certificate(fx, fy)
+        cert = load_pair_certificate(name, pair)
+        searched_eps, _ = search_certificate(*pair)
         dht_upper = min(cert.eps, searched_eps)
-        np_upper = natural_pseudo_upper(X, f, Y, g)
-        dx = compute_diagrams(fx, kmax)
-        dy = compute_diagrams(fy, kmax)
+        np_upper = natural_pseudo_upper(*pair)
+        dx = compute_diagrams(lower_star(X, f), kmax)
+        dy = compute_diagrams(lower_star(Y, g), kmax)
         for k in range(kmax + 1):
             db, _ = bottleneck_distance(dx[k], dy[k])
             assert db <= dht_upper, (name, k)
@@ -206,10 +203,10 @@ def test_criterion_6_shift_equivariance():
 def test_criterion_7_upshift_asymmetry_probe():
     observations = []
     for name in PAIR_NAMES:
-        fx, fy = load_pair(name)
-        cert = load_pair_certificate(name, fx, fy)
+        pair = load_pair(name)
+        cert = load_pair_certificate(name, pair)
         for delta in (0.25, 1.0):
-            report = upshift_asymmetry_probe(fx, fy, cert, delta)
+            report = upshift_asymmetry_probe(*pair, cert, delta)
             assert report.up.ok, (name, delta, report.up.condition)
             observations.append(
                 f"{name} delta={delta:g}: down-shift "
@@ -221,8 +218,8 @@ def test_criterion_7_upshift_asymmetry_probe():
 
 
 def _valid_comb_certificate():
-    fx, fy = load_pair("comb_pair")
-    return fx, fy, load_pair_certificate("comb_pair", fx, fy)
+    pair = load_pair("comb_pair")
+    return pair, load_pair_certificate("comb_pair", pair)
 
 
 def _control_violation_setup():
@@ -230,8 +227,8 @@ def _control_violation_setup():
     across the bump, beyond its own value."""
     path = build_complex([[0, 1], [1, 2]])
     point = build_complex([[0]])
-    f_path = lower_star(path, VertexFunction((0.0, 1.0, 0.0)))
-    f_point = lower_star(point, VertexFunction((0.0,)))
+    f_path = VertexFunction((0.0, 1.0, 0.0))
+    f_point = VertexFunction((0.0,))
     const0 = SimplicialMap(path, path, (0, 0, 0))
     mid = SimplicialMap(path, path, (0, 1, 1))
     sweep_chain = ContiguityChain((const0, mid, identity_map(path)))
@@ -242,37 +239,34 @@ def test_criterion_8_negative_controls():
     cases = []
 
     # corruptions of the cycle pair certificate
-    fx, fy = load_pair("cycle3_vs_cycle6")
-    cert = load_pair_certificate("cycle3_vs_cycle6", fx, fy)
-    X, Y = fx.complex, fy.complex
-    cases.append((fx, fy, replace(cert, phi=SimplicialMap(X, Y, (0, 3, 4))), "phi_not_simplicial"))
-    cases.append((fx, fy, replace(cert, psi=SimplicialMap(Y, X, (0, 1, 2, 1, 2, 0))), "psi_not_simplicial"))
+    pair = X, _, Y, _ = load_pair("cycle3_vs_cycle6")
+    cert = load_pair_certificate("cycle3_vs_cycle6", pair)
+    cases.append((pair, replace(cert, phi=SimplicialMap(X, Y, (0, 3, 4))), "phi_not_simplicial"))
+    cases.append((pair, replace(cert, psi=SimplicialMap(Y, X, (0, 1, 2, 1, 2, 0))), "psi_not_simplicial"))
     rot_x = SimplicialMap(X, X, (1, 2, 0))
     cases.append(
-        (fx, fy, replace(cert, chain_x=ContiguityChain((rot_x, identity_map(X)))), "chain_x_invalid")
+        (pair, replace(cert, chain_x=ContiguityChain((rot_x, identity_map(X)))), "chain_x_invalid")
     )
     rot_y = SimplicialMap(Y, Y, (2, 3, 4, 5, 0, 1))
     cases.append(
-        (fx, fy, replace(cert, chain_y=ContiguityChain((rot_y, identity_map(Y)))), "chain_y_invalid")
+        (pair, replace(cert, chain_y=ContiguityChain((rot_y, identity_map(Y)))), "chain_y_invalid")
     )
-    cases.append((fx, fy, replace(cert, eps=0.0625), "shift_phi"))
+    cases.append((pair, replace(cert, eps=0.0625), "shift_phi"))
 
     # comb pair: the round trip is not the identity, so a bare identity chain
     # has the wrong endpoints
-    cfx, cfy, comb_cert = _valid_comb_certificate()
+    comb, comb_cert = _valid_comb_certificate()
     cases.append(
         (
-            cfx,
-            cfy,
-            replace(comb_cert, chain_x=ContiguityChain((identity_map(cfx.complex),))),
+            comb,
+            replace(comb_cert, chain_x=ContiguityChain((identity_map(comb[0]),))),
             "chain_x_endpoints",
         )
     )
     cases.append(
         (
-            cfx,
-            cfy,
-            replace(comb_cert, chain_y=ContiguityChain((identity_map(cfy.complex),))),
+            comb,
+            replace(comb_cert, chain_y=ContiguityChain((identity_map(comb[2]),))),
             "chain_y_endpoints",
         )
     )
@@ -280,13 +274,12 @@ def test_criterion_8_negative_controls():
     # edge vs point with psi landing on the expensive endpoint
     edge = build_complex([[0, 1]])
     point = build_complex([[0]])
-    f_edge = lower_star(edge, VertexFunction((0.0, 1.0)))
-    f_point = lower_star(point, VertexFunction((0.0,)))
+    f_edge = VertexFunction((0.0, 1.0))
+    f_point = VertexFunction((0.0,))
     const1 = SimplicialMap(edge, edge, (1, 1))
     cases.append(
         (
-            f_edge,
-            f_point,
+            (edge, f_edge, point, f_point),
             ShiftCertificate(
                 SimplicialMap(edge, point, (0, 0)),
                 SimplicialMap(point, edge, (1,)),
@@ -302,8 +295,7 @@ def test_criterion_8_negative_controls():
     path, pt, f_path, f_pt, sweep_chain = _control_violation_setup()
     cases.append(
         (
-            f_path,
-            f_pt,
+            (path, f_path, pt, f_pt),
             ShiftCertificate(
                 SimplicialMap(path, pt, (0, 0, 0)),
                 SimplicialMap(pt, path, (0,)),
@@ -316,8 +308,7 @@ def test_criterion_8_negative_controls():
     )
     cases.append(
         (
-            f_pt,
-            f_path,
+            (pt, f_pt, path, f_path),
             ShiftCertificate(
                 SimplicialMap(pt, path, (0,)),
                 SimplicialMap(path, pt, (0, 0, 0)),
@@ -330,17 +321,18 @@ def test_criterion_8_negative_controls():
     )
 
     # second understated-eps case, on the strip pair
-    sfx, sfy = load_pair("hollow_triangle_vs_strip")
-    strip_cert = load_pair_certificate("hollow_triangle_vs_strip", sfx, sfy)
-    cases.append((sfx, sfy, replace(strip_cert, eps=0.125), "shift_phi"))
+    strip = load_pair("hollow_triangle_vs_strip")
+    strip_cert = load_pair_certificate("hollow_triangle_vs_strip", strip)
+    cases.append((strip, replace(strip_cert, eps=0.125), "shift_phi"))
 
     assert len(cases) >= 10
-    for fa, fb, corrupted, expected in cases:
-        outcome = check_certificate(fa, fb, corrupted)
+    for case_pair, corrupted, expected in cases:
+        outcome = check_certificate(*case_pair, corrupted)
         assert not outcome.ok
         assert outcome.condition == expected, (expected, outcome)
 
     # structural mismatches raise instead of naming a condition
+    X, f, Y, g = pair
     with pytest.raises(ValueError):
-        check_certificate(fy, fx, cert)
+        check_certificate(Y, g, X, f, cert)
     print(f"ACCEPTANCE 8 (negative controls, {len(cases)} corrupted certificates): PASS")

@@ -28,12 +28,12 @@ from topodist.certify import (
 )
 from topodist.complexes import (
     ContiguityChain,
-    FilteredComplex,
     SimplicialMap,
     VertexFunction,
     build_complex,
     check_simplicial,
     contiguous,
+    homotopy_sup_control,
     identity_map,
     lower_star,
 )
@@ -41,17 +41,14 @@ from topodist.complexes import (
 from gen import (
     random_complex,
     random_connected_complex,
-    random_filtered,
-    random_monotone_filtered,
     random_vertex_function,
+    tied_vertex_function,
 )
 
 
 def point_edge_setup():
     X = build_complex([[0]])
     Y = build_complex([[0, 1]])
-    fx = lower_star(X, VertexFunction((0.0,)))
-    fy = lower_star(Y, VertexFunction((0.0, 1.0)))
     cert = ShiftCertificate(
         SimplicialMap(X, Y, (0,)),
         SimplicialMap(Y, X, (0, 0)),
@@ -59,44 +56,44 @@ def point_edge_setup():
         ContiguityChain((identity_map(X),)),
         ContiguityChain((SimplicialMap(Y, Y, (0, 0)), identity_map(Y))),
     )
-    return fx, fy, cert
+    return (X, VertexFunction((0.0,)), Y, VertexFunction((0.0, 1.0))), cert
 
 
-def identity_certificate(fc, eps=0.0):
-    ident = identity_map(fc.complex)
+def identity_certificate(K, eps=0.0):
+    ident = identity_map(K)
     chain = ContiguityChain((ident,))
     return ShiftCertificate(ident, ident, eps, chain, chain)
 
 
 def test_identity_certificate_passes():
-    fc = lower_star(build_complex([[0, 1], [1, 2]]), VertexFunction((0.0, 2.0, 1.0)))
-    assert check_certificate(fc, fc, identity_certificate(fc)).ok
+    K = build_complex([[0, 1], [1, 2]])
+    f = VertexFunction((0.0, 2.0, 1.0))
+    assert check_certificate(K, f, K, f, identity_certificate(K)).ok
 
 
 def test_point_edge_certificate():
-    fx, fy, cert = point_edge_setup()
-    assert check_certificate(fx, fy, cert).ok
+    pair, cert = point_edge_setup()
+    assert check_certificate(*pair, cert).ok
 
 
 def test_point_vs_point_understated_eps():
     X = build_complex([[0]])
-    fx = lower_star(X, VertexFunction((0.0,)))
-    fy = lower_star(X, VertexFunction((1.0,)))
-    cert = identity_certificate(fx, eps=0.5)
-    outcome = check_certificate(fx, fy, cert)
+    f, g = VertexFunction((0.0,)), VertexFunction((1.0,))
+    cert = identity_certificate(X, eps=0.5)
+    outcome = check_certificate(X, f, X, g, cert)
     assert not outcome.ok and outcome.condition == "shift_phi"
 
 
 def test_certificate_monotone_in_eps():
-    fx, fy, cert = point_edge_setup()
+    pair, cert = point_edge_setup()
     for eps in (0.25, 1.0, 7.5):
-        assert check_certificate(fx, fy, replace(cert, eps=eps)).ok
+        assert check_certificate(*pair, replace(cert, eps=eps)).ok
 
 
 def test_certificate_structural_errors():
-    fx, fy, cert = point_edge_setup()
+    (X, f, Y, g), cert = point_edge_setup()
     with pytest.raises(ValueError, match="endpoints"):
-        check_certificate(fy, fx, cert)
+        check_certificate(Y, g, X, f, cert)
     with pytest.raises(ValueError):
         replace(cert, eps=-1.0)
     with pytest.raises(ValueError):
@@ -107,48 +104,47 @@ def test_certificate_structural_errors():
 
 def test_search_identity_pair_is_zero():
     K = build_complex([[0, 1], [1, 2], [0, 2]])
-    fc = lower_star(K, VertexFunction((0.0, 0.25, 0.5)))
-    eps, cert = search_certificate(fc, fc)
+    f = VertexFunction((0.0, 0.25, 0.5))
+    eps, cert = search_certificate(K, f, K, f)
     assert eps == 0.0 and cert is not None
-    assert check_certificate(fc, fc, cert).ok
+    assert check_certificate(K, f, K, f, cert).ok
 
 
 def test_search_two_points():
     X = build_complex([[0]])
-    fa = lower_star(X, VertexFunction((0.25,)))
-    fb = lower_star(X, VertexFunction((1.0,)))
-    eps, cert = search_certificate(fa, fb)
+    fa, fb = VertexFunction((0.25,)), VertexFunction((1.0,))
+    eps, cert = search_certificate(X, fa, X, fb)
     assert eps == 0.75
-    assert check_certificate(fa, fb, cert).ok
+    assert check_certificate(X, fa, X, fb, cert).ok
 
 
 def test_search_point_vs_edge():
-    fx, fy, _ = point_edge_setup()
-    eps, cert = search_certificate(fx, fy)
+    pair, _ = point_edge_setup()
+    eps, cert = search_certificate(*pair)
     assert eps == 0.0 and cert is not None
 
 
 def test_search_respects_chain_budget():
     # the edge side needs a 2-map chain, so a budget of 1 finds nothing
-    fx, fy, _ = point_edge_setup()
-    eps, cert = search_certificate(fx, fy, max_chain_len=1)
+    pair, _ = point_edge_setup()
+    eps, cert = search_certificate(*pair, max_chain_len=1)
     assert math.isinf(eps) and cert is None
 
 
 def test_search_vertex_guard():
     K = build_complex([[i, i + 1] for i in range(7)])
-    fc = lower_star(K, VertexFunction(tuple(float(i) for i in range(8))))
+    f = VertexFunction(tuple(float(i) for i in range(8)))
     with pytest.raises(SizeGuardExceeded):
-        search_certificate(fc, fc)
+        search_certificate(K, f, K, f)
 
 
 def test_search_no_homotopy_equivalence():
     # circle vs point: no contiguity chain can connect their round trips
     circle = build_complex([[0, 1], [1, 2], [0, 2]])
-    fx = lower_star(circle, VertexFunction((0.0, 0.0, 0.0)))
     point = build_complex([[0]])
-    fy = lower_star(point, VertexFunction((0.0,)))
-    eps, cert = search_certificate(fx, fy)
+    eps, cert = search_certificate(
+        circle, VertexFunction((0.0, 0.0, 0.0)), point, VertexFunction((0.0,))
+    )
     assert math.isinf(eps) and cert is None
 
 
@@ -158,16 +154,16 @@ def test_search_bounded_by_linf_on_same_domain():
         K = random_complex(rng, max_vertices=4)
         f = random_vertex_function(rng, K.vertex_count)
         g = random_vertex_function(rng, K.vertex_count)
-        eps, cert = search_certificate(lower_star(K, f), lower_star(K, g))
+        eps, cert = search_certificate(K, f, K, g)
         assert eps <= linf_distance(f, g)
         assert cert is not None
 
 
 def test_search_deterministic():
     K = build_complex([[0, 1], [1, 2]])
-    fa = lower_star(K, VertexFunction((0.0, 0.5, 0.25)))
-    fb = lower_star(K, VertexFunction((0.25, 0.75, 0.0)))
-    runs = [search_certificate(fa, fb) for _ in range(3)]
+    fa = VertexFunction((0.0, 0.5, 0.25))
+    fb = VertexFunction((0.25, 0.75, 0.0))
+    runs = [search_certificate(K, fa, K, fb) for _ in range(3)]
     assert len({r[0] for r in runs}) == 1
     assert len({format_certificate(r[1]) for r in runs}) == 1
 
@@ -228,11 +224,44 @@ def test_enumerate_simplicial_maps_all_simplicial():
     assert_bfs_matches_oracle(build_complex([[0, 1], [1, 2], [2, 3], [0, 3]]))
 
 
-def product_search(fx, fy, max_chain_len, control_factor):
+def edge_walk_sup_control(chain, fc):
+    """Per source vertex, the max of the filtration over its images and over
+    the edges that consecutive images span: the sweep bound read off a
+    filtration, the reference for homotopy_sup_control on lower stars."""
+    values = fc.filtration
+    bounds = []
+    for v in range(chain.source.vertex_count):
+        images = [m.vertex_image[v] for m in chain.maps]
+        bound = max(values[(w,)] for w in images)
+        for a, b in zip(images, images[1:]):
+            if a != b:
+                bound = max(bound, values[(min(a, b), max(a, b))])
+        bounds.append(bound)
+    return tuple(bounds)
+
+
+def test_homotopy_sup_control_matches_edge_walk():
+    rng = random.Random(41)
+    chains = moving = 0
+    for i in range(40):
+        if i % 2:
+            K = random_connected_complex(rng, min_vertices=2, max_vertices=5)
+        else:
+            K = random_complex(rng, max_vertices=4)
+        g = random_vertex_function(rng, K.vertex_count)
+        fc = lower_star(K, g)
+        reach = _chains_to_identity(K, 3)
+        for h in reach:
+            chain = _chain_from(K, reach, h)
+            assert homotopy_sup_control(chain, g) == edge_walk_sup_control(chain, fc)
+            chains += 1
+            moving += len(chain) > 1
+    assert moving > 100 and chains > moving
+
+
+def product_search(X, f, Y, g, max_chain_len, control_factor):
     """search_certificate as a plain product over all (phi, psi) pairs: the
     reference that the join on image(phi) must reproduce exactly."""
-    X, Y = fx.complex, fy.complex
-    f, g = fx.vertex_values(), fy.vertex_values()
     reach_x = _chains_to_identity(X, max_chain_len - 1)
     reach_y = _chains_to_identity(Y, max_chain_len - 1)
     maps_yx = enumerate_simplicial_maps(Y, X)
@@ -246,8 +275,8 @@ def product_search(fx, fy, max_chain_len, control_factor):
                 continue
             shifts = [g[phi[v]] - f[v] for v in range(len(f))]
             shifts += [f[psi[w]] - g[w] for w in range(len(g))]
-            excess = _control_excess(fx, reach_x, excess_x, hx)
-            excess += _control_excess(fy, reach_y, excess_y, hy)
+            excess = _control_excess(X, f, reach_x, excess_x, hx)
+            excess += _control_excess(Y, g, reach_y, excess_y, hy)
             key = (_min_eps(max([0.0, *shifts]), excess, control_factor), phi, psi)
             if best is None or key < best:
                 best = key
@@ -264,10 +293,10 @@ def product_search(fx, fy, max_chain_len, control_factor):
     )
 
 
-def flat_filtered(rng, K):
+def flat_function(rng, n):
     """A constant function: every round trip ties at eps 0, so the (phi, psi)
     order alone picks the witness."""
-    return lower_star(K, VertexFunction((0.5,) * K.vertex_count))
+    return VertexFunction((0.5,) * n)
 
 
 def coned(rng, K):
@@ -280,53 +309,37 @@ def coned(rng, K):
 
 def test_search_matches_product_oracle():
     rng = random.Random(31)
-    refused = 0
     for i in range(48):
         if i % 2:
             X = random_connected_complex(rng, min_vertices=2, max_vertices=3)
-            complexes = (X, coned(rng, X))
+            Y = coned(rng, X)
         else:
-            complexes = (random_complex(rng, max_vertices=4), random_complex(rng, max_vertices=4))
-        filtered = (random_filtered, random_monotone_filtered, flat_filtered)[i // 2 % 3]
-        sides = [filtered(rng, K) for K in complexes]
-        if any(
-            fc.filtration != lower_star(fc.complex, fc.vertex_values()).filtration
-            for fc in sides
-        ):
-            # only random_monotone_filtered makes these; some of its draws are lower stars
-            assert filtered is random_monotone_filtered
-            with pytest.raises(ValueError, match="lower-star"):
-                search_certificate(*sides)
-            refused += 1
-            continue
+            X, Y = random_complex(rng, max_vertices=4), random_complex(rng, max_vertices=4)
+        function = (random_vertex_function, tied_vertex_function, flat_function)[i // 2 % 3]
+        pair = (X, function(rng, X.vertex_count), Y, function(rng, Y.vertex_count))
         for j, budget in enumerate((1, 2, 4)):
             factor = (1.0, 2.0, 3.0)[(i + j) % 3]
-            eps, cert = search_certificate(*sides, max_chain_len=budget, control_factor=factor)
-            ref_eps, ref_cert = product_search(*sides, budget, factor)
+            eps, cert = search_certificate(*pair, max_chain_len=budget, control_factor=factor)
+            ref_eps, ref_cert = product_search(*pair, budget, factor)
             assert eps == ref_eps
             text = format_certificate(cert) if cert else None
             assert text == (format_certificate(ref_cert) if ref_cert else None)
-    assert refused > 0
 
 
-def test_certificates_refuse_filtrations_that_are_not_lower_stars():
-    # Both vertices of the edge sit at 0 on each side, but fy raises the edge
-    # itself to 10.  Every vertex condition holds at eps 0, yet d_B(H0) = 5:
-    # accepting the pair would report a false stability falsification.
+def test_certificates_reject_functions_of_the_wrong_length():
     edge = build_complex([[0, 1]])
-    fx = lower_star(edge, VertexFunction((0.0, 0.0)))
-    fy = FilteredComplex(edge, {(0,): 0.0, (1,): 0.0, (0, 1): 10.0})
-    cert = identity_certificate(fx)
-    with pytest.raises(ValueError, match="lower-star filtrations: fy gives simplex"):
-        search_certificate(fx, fy)
-    with pytest.raises(ValueError, match="lower-star filtrations: fy gives simplex"):
-        check_certificate(fx, fy, cert)
-    with pytest.raises(ValueError, match="lower-star filtrations: fx gives simplex"):
-        check_certificate(fy, fx, cert)
-    with pytest.raises(ValueError, match="lower-star"):
-        verify_stability(fx, fy, cert, max_degree=1)
-    with pytest.raises(ValueError, match="lower-star"):
-        upshift_asymmetry_probe(fx, fy, cert, 0.25)
+    f = VertexFunction((0.0, 0.0))
+    short = VertexFunction((0.0,))
+    cert = identity_certificate(edge)
+    for pair in ((edge, short, edge, f), (edge, f, edge, short)):
+        with pytest.raises(ValueError, match="function length 1 != vertex count 2"):
+            search_certificate(*pair)
+        with pytest.raises(ValueError, match="function length 1 != vertex count 2"):
+            check_certificate(*pair, cert)
+        with pytest.raises(ValueError, match="function length 1 != vertex count 2"):
+            verify_stability(*pair, cert, max_degree=1)
+        with pytest.raises(ValueError, match="function length 1 != vertex count 2"):
+            upshift_asymmetry_probe(*pair, cert, 0.25)
 
 
 def test_search_ties_pick_the_smallest_pair():
@@ -334,14 +347,15 @@ def test_search_ties_pick_the_smallest_pair():
     # The path's constant self-maps are reached in BFS order, (1, 1, 1)
     # before (0, 0, 0), so the winning partner is not the first one the join
     # meets.  The join runs from X on path/path and from Y on triangle/path.
-    path = flat_filtered(None, build_complex([[0, 1], [1, 2]]))
-    triangle = flat_filtered(None, build_complex([[0, 1, 2]]))
-    for fx in (path, triangle):
-        eps, cert = search_certificate(fx, path)
+    path = build_complex([[0, 1], [1, 2]])
+    triangle = build_complex([[0, 1, 2]])
+    flat = flat_function(None, 3)
+    for X in (path, triangle):
+        eps, cert = search_certificate(X, flat, path, flat)
         assert eps == 0.0
         assert (cert.phi.vertex_image, cert.psi.vertex_image) == ((0, 0, 0), (0, 0, 0))
         assert format_certificate(cert) == format_certificate(
-            product_search(fx, path, DEFAULT_MAX_CHAIN_LEN, DEFAULT_CONTROL_FACTOR)[1]
+            product_search(X, flat, path, flat, DEFAULT_MAX_CHAIN_LEN, DEFAULT_CONTROL_FACTOR)[1]
         )
 
 
@@ -349,16 +363,16 @@ def test_search_raises_on_a_witness_the_checker_rejects(monkeypatch):
     monkeypatch.setattr(
         topodist.certify,
         "check_certificate",
-        lambda fx, fy, cert: CertificateCheck(False, "control_x", "rejected"),
+        lambda X, f, Y, g, cert: CertificateCheck(False, "control_x", "rejected"),
     )
-    fx, fy, _ = point_edge_setup()
+    pair, _ = point_edge_setup()
     with pytest.raises(AssertionError, match="control_x"):
-        search_certificate(fx, fy)
+        search_certificate(*pair)
 
 
 def test_verify_stability_point_edge():
-    fx, fy, cert = point_edge_setup()
-    report = verify_stability(fx, fy, cert, max_degree=1)
+    pair, cert = point_edge_setup()
+    report = verify_stability(*pair, cert, max_degree=1)
     assert report.ok
     assert [e.bottleneck for e in report.entries] == [0.0, 0.0]
     assert [e.slack for e in report.entries] == [0.0, 0.0]
@@ -366,10 +380,9 @@ def test_verify_stability_point_edge():
 
 def test_verify_stability_refuses_bad_cert():
     X = build_complex([[0]])
-    fx = lower_star(X, VertexFunction((0.0,)))
-    fy = lower_star(X, VertexFunction((1.0,)))
+    f, g = VertexFunction((0.0,)), VertexFunction((1.0,))
     with pytest.raises(ValueError, match="refusing"):
-        verify_stability(fx, fy, identity_certificate(fx, eps=0.5))
+        verify_stability(X, f, X, g, identity_certificate(X, eps=0.5))
 
 
 def test_verify_stability_same_domain_linf_certificate():
@@ -378,43 +391,42 @@ def test_verify_stability_same_domain_linf_certificate():
         K = random_complex(rng, max_vertices=8)
         f = random_vertex_function(rng, K.vertex_count)
         g = random_vertex_function(rng, K.vertex_count)
-        fx, fy = lower_star(K, f), lower_star(K, g)
-        cert = identity_certificate(fx, eps=linf_distance(f, g))
-        assert check_certificate(fx, fy, cert).ok
-        assert verify_stability(fx, fy, cert).ok
+        cert = identity_certificate(K, eps=linf_distance(f, g))
+        assert check_certificate(K, f, K, g, cert).ok
+        assert verify_stability(K, f, K, g, cert).ok
 
 
 def test_probe_zero_delta_both_pass():
-    fx, fy, cert = point_edge_setup()
-    report = upshift_asymmetry_probe(fx, fy, cert, 0.0)
+    pair, cert = point_edge_setup()
+    report = upshift_asymmetry_probe(*pair, cert, 0.0)
     assert report.up.ok and report.down.ok
 
 
 def test_probe_upshift_always_passes_downshift_here_fails():
     X = build_complex([[0]])
-    fx = lower_star(X, VertexFunction((0.0,)))
-    cert = identity_certificate(fx, eps=0.0)
-    report = upshift_asymmetry_probe(fx, fx, cert, 1.0)
+    f = VertexFunction((0.0,))
+    cert = identity_certificate(X, eps=0.0)
+    report = upshift_asymmetry_probe(X, f, X, f, cert, 1.0)
     assert report.up.ok
     assert report.up_eps == 1.0
     assert not report.down.ok and report.down.condition == "shift_psi"
 
 
 def test_probe_requires_valid_cert_and_nonneg_delta():
-    fx, fy, cert = point_edge_setup()
-    with pytest.raises(ValueError):
-        upshift_asymmetry_probe(fx, fy, cert, -0.5)
+    pair, cert = point_edge_setup()
+    for delta in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+            upshift_asymmetry_probe(*pair, cert, delta)
     X = build_complex([[0]])
-    fa = lower_star(X, VertexFunction((0.0,)))
-    fb = lower_star(X, VertexFunction((5.0,)))
+    fa, fb = VertexFunction((0.0,)), VertexFunction((5.0,))
     with pytest.raises(ValueError, match="valid certificate"):
-        upshift_asymmetry_probe(fa, fb, identity_certificate(fa, eps=0.0), 1.0)
+        upshift_asymmetry_probe(X, fa, X, fb, identity_certificate(X, eps=0.0), 1.0)
 
 
 def test_certificate_file_roundtrip():
-    fx, fy, cert = point_edge_setup()
+    (X, _, Y, _), cert = point_edge_setup()
     text = format_certificate(cert)
-    again = parse_certificate(text, fx.complex, fy.complex)
+    again = parse_certificate(text, X, Y)
     assert again == cert
 
 

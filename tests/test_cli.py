@@ -162,6 +162,15 @@ def test_mergetree_interleave_eps_size_guard_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "12 nodes" in err
 
 
+def test_mergetree_interleave_eps_nan_exit_2(tmp_path, capsys):
+    tree = tmp_path / "a.tree"
+    assert run(capsys, ["mergetree", "build", PATH_X, "-o", str(tree)])[0] == 0
+    code, out, err = run(capsys, ["mergetree", "interleave", str(tree), str(tree), "--eps", "nan"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "eps must be non-negative" in err
+
+
 def test_mergetree_interleave_distance_bracket_above_guard(tmp_path, capsys):
     big = tmp_path / "big.tree"
     point = tmp_path / "point.tree"
@@ -235,6 +244,15 @@ def test_dht_search_size_guard_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "6 vertices" in err
 
 
+def test_dht_search_bad_factor_exit_2(capsys):
+    # -1 and 0 are refused alike, before any witness is built
+    for factor in ("-1", "0", "nan"):
+        code, out, err = run(capsys, ["dht", "search", PATH_X, PATH_X, "--factor", factor])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "control_factor must be positive" in err
+
+
 def test_dht_stability(capsys):
     code, out, _ = run(capsys, ["dht", "stability", PATH_X, PATH_Y, PATH_CERT])
     assert code == 0
@@ -251,6 +269,15 @@ def test_dht_probe(capsys):
     assert "upshift_ok\ttrue" in out
     assert "downshift_ok\tfalse" in out
     assert "downshift_violated\tshift_psi" in out
+
+
+def test_dht_probe_nan_delta_exit_2(capsys):
+    code, out, err = run(
+        capsys, ["dht", "probe", PATH_X, PATH_Y, PATH_CERT, "--delta", "nan"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "delta must be finite and non-negative" in err
 
 
 def test_corpus_passes_and_is_deterministic(capsys):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -18,7 +20,6 @@ from topodist.complexes import (
     homotopy_sup_control,
     identity_map,
     lower_star,
-    maximal_simplices,
     parse_instance,
 )
 
@@ -112,9 +113,9 @@ def test_vertex_function_rejects_nan_and_inf():
 def test_lower_star_path_example():
     K = build_complex([[0, 1], [1, 2]])
     fc = lower_star(K, VertexFunction((0.0, 2.0, 1.0)))
-    assert fc.value((0, 1)) == 2.0
-    assert fc.value((1, 2)) == 2.0
-    assert [fc.value((v,)) for v in range(3)] == [0.0, 2.0, 1.0]
+    assert fc.filtration[(0, 1)] == 2.0
+    assert fc.filtration[(1, 2)] == 2.0
+    assert [fc.filtration[(v,)] for v in range(3)] == [0.0, 2.0, 1.0]
 
 
 def test_lower_star_constant():
@@ -126,8 +127,8 @@ def test_lower_star_constant():
 def test_lower_star_triangle_max_rule():
     K = build_complex([[0, 1, 2]])
     fc = lower_star(K, VertexFunction((0.0, 0.0, 1.0)))
-    assert fc.value((0, 1, 2)) == 1.0
-    assert fc.value((0, 1)) == 0.0
+    assert fc.filtration[(0, 1, 2)] == 1.0
+    assert fc.filtration[(0, 1)] == 0.0
 
 
 def test_lower_star_length_mismatch():
@@ -155,12 +156,9 @@ def test_filtered_complex_rejects_non_monotone():
 
 
 def test_shifted_rejects_overflow_to_inf():
-    K = build_complex([[0, 1]])
     f = VertexFunction((1e308, 0.0))
     with pytest.raises(ValueError, match="vertex values must be finite"):
         f.shifted(1e308)
-    with pytest.raises(ValueError, match="filtration values must be finite"):
-        lower_star(K, f).shifted(1e308)
 
 
 def _generated_complexes(rng):
@@ -239,25 +237,25 @@ def test_chain_requires_shared_endpoints():
 
 def test_homotopy_sup_control_identity_chain():
     edge = build_complex([[0, 1]])
-    fc = lower_star(edge, VertexFunction((0.0, 1.0)))
+    f = VertexFunction((0.0, 1.0))
     chain = ContiguityChain((identity_map(edge),))
-    assert homotopy_sup_control(chain, fc) == (0.0, 1.0)
+    assert homotopy_sup_control(chain, f) == (0.0, 1.0)
 
 
 def test_homotopy_sup_control_collapse_sweeps_edge():
     edge = build_complex([[0, 1]])
-    fc = lower_star(edge, VertexFunction((0.0, 1.0)))
+    f = VertexFunction((0.0, 1.0))
     chain = ContiguityChain((identity_map(edge), SimplicialMap(edge, edge, (0, 0))))
-    # vertex 1 travels across the edge, whose value is 1
-    assert homotopy_sup_control(chain, fc) == (0.0, 1.0)
+    # vertex 1 travels across the edge, whose lower-star value is 1
+    assert homotopy_sup_control(chain, f) == (0.0, 1.0)
 
 
 def test_homotopy_sup_control_constant_chain():
     K = build_complex([[0, 1], [1, 2]])
-    fc = lower_star(K, VertexFunction((0.5, 2.0, 1.0)))
+    f = VertexFunction((0.5, 2.0, 1.0))
     const = SimplicialMap(K, K, (0, 0, 0))
     chain = ContiguityChain((const, const))
-    assert homotopy_sup_control(chain, fc) == (0.5, 0.5, 0.5)
+    assert homotopy_sup_control(chain, f) == (0.5, 0.5, 0.5)
 
 
 def test_homotopy_sup_control_single_map_equals_pullback():
@@ -265,22 +263,21 @@ def test_homotopy_sup_control_single_map_equals_pullback():
     for _ in range(20):
         K = random_complex(rng, max_vertices=6)
         f = random_vertex_function(rng, K.vertex_count)
-        fc = lower_star(K, f)
         n = K.vertex_count
         img = tuple(rng.randrange(n) for _ in range(n))
         m = SimplicialMap(K, K, img)
         if not check_simplicial(m):
             continue
-        bounds = homotopy_sup_control(ContiguityChain((m,)), fc)
+        bounds = homotopy_sup_control(ContiguityChain((m,)), f)
         assert bounds == tuple(f[img[v]] for v in range(n))
 
 
 def test_homotopy_sup_control_target_mismatch():
     edge = build_complex([[0, 1]])
-    other = build_complex([[0, 1], [1, 2]])
-    fc = lower_star(other, VertexFunction((0.0, 0.0, 0.0)))
     with pytest.raises(ValueError, match="target"):
-        homotopy_sup_control(ContiguityChain((identity_map(edge),)), fc)
+        homotopy_sup_control(
+            ContiguityChain((identity_map(edge),)), VertexFunction((0.0, 0.0, 0.0))
+        )
 
 
 def test_compose_maps():
@@ -294,12 +291,22 @@ def test_compose_maps():
 
 def test_maximal_simplices():
     K = build_complex([[0, 1, 2], [2, 3]])
-    assert maximal_simplices(K) == ((2, 3), (0, 1, 2))
+    assert K.facets == ((2, 3), (0, 1, 2))
     rng = random.Random(73)
     for K in [random_complex(rng) for _ in range(20)] + [random_complex_3d(rng) for _ in range(20)]:
-        facets = [set(s) for s in maximal_simplices(K)]
+        facets = [set(s) for s in K.facets]
         assert not any(a < b for a in facets for b in facets)
         assert all(any(set(s) <= f for f in facets) for s in K.simplices)
+
+
+def test_facets_do_not_keep_their_complex_alive():
+    K = build_complex([[0, 1, 2], [2, 3]])
+    assert check_simplicial(identity_map(K))  # reads K.facets
+    assert K.facets == ((2, 3), (0, 1, 2))
+    ref = weakref.ref(K)
+    del K
+    gc.collect()
+    assert ref() is None
 
 
 def test_instance_roundtrip():
