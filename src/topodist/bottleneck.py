@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, permutations
 from typing import Sequence
 
-from .common import SizeGuardExceeded
+from .common import SizeGuardExceeded, eps_needed
 from .complexes import SimplicialComplex, VertexFunction, _require_fits
 from .persistence import PersistenceDiagram
 
@@ -222,10 +222,11 @@ def bottleneck_bruteforce(d1: PersistenceDiagram, d2: PersistenceDiagram) -> flo
 
 
 def linf_distance(f: VertexFunction | Sequence[float], g: VertexFunction | Sequence[float]) -> float:
-    """Max over vertices of |f - g| for functions on the same vertex set."""
+    """Max over vertices of |f - g| for functions on the same vertex set,
+    the least float >= its exact value."""
     if len(f) != len(g):
         raise ValueError(f"length mismatch: {len(f)} != {len(g)}")
-    return max((abs(a - b) for a, b in zip(f, g)), default=0.0)
+    return max((eps_needed(max(a, b), min(a, b)) for a, b in zip(f, g)), default=0.0)
 
 
 def _simplex_counts(complex: SimplicialComplex) -> dict[int, int]:
@@ -248,7 +249,8 @@ def _vertex_profile(complex: SimplicialComplex) -> list[tuple[int, ...]]:
 def natural_pseudo_upper(
     k1: SimplicialComplex, f: VertexFunction, k2: SimplicialComplex, g: VertexFunction
 ) -> float:
-    """Min over simplicial isomorphisms h of max_v |f(v) - g(h(v))|.
+    """Min over simplicial isomorphisms h of max_v |f(v) - g(h(v))|, the
+    least float >= its exact value.
 
     This is an UPPER BOUND on the natural pseudo-distance: the infimum there
     ranges over all homeomorphisms, which a finite enumeration cannot exhaust.
@@ -291,7 +293,7 @@ def natural_pseudo_upper(
                     break
             if ok:
                 used[w] = True
-                extend(v + 1, max(worst, abs(f[v] - g[w])))
+                extend(v + 1, max(worst, eps_needed(max(f[v], g[w]), min(f[v], g[w]))))
                 used[w] = False
         image[v] = -1
 

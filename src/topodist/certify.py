@@ -22,12 +22,21 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from operator import itemgetter, or_, sub
+from itertools import repeat
+from operator import itemgetter, or_
 from pathlib import Path
 from typing import Callable
 
 from .bottleneck import bottleneck_distance
-from .common import ParseError, SizeGuardExceeded, content_lines, fmt_value, parse_int, parse_value
+from .common import (
+    ParseError,
+    SizeGuardExceeded,
+    content_lines,
+    eps_needed,
+    fmt_value,
+    parse_int,
+    parse_value,
+)
 from .complexes import (
     ContiguityChain,
     Simplex,
@@ -47,7 +56,6 @@ from .persistence import compute_diagrams
 DEFAULT_CONTROL_FACTOR = 2.0
 DEFAULT_MAX_CHAIN_LEN = 4
 SEARCH_VERTEX_GUARD = 6
-STABILITY_TOLERANCE = 1e-9
 
 #: names of the checkable certificate conditions, in evaluation order
 CONDITIONS = (
@@ -149,30 +157,29 @@ def check_certificate(
         )
 
     for v in range(len(f)):
-        if g[cert.phi(v)] - f[v] > cert.eps:
+        if eps_needed(g[cert.phi(v)], f[v]) > cert.eps:
             return CertificateCheck(
                 False,
                 "shift_phi",
                 f"vertex {v}: g(phi(v)) = {g[cert.phi(v)]} exceeds f(v) + eps = {f[v]} + {cert.eps}",
             )
     for w in range(len(g)):
-        if f[cert.psi(w)] - g[w] > cert.eps:
+        if eps_needed(f[cert.psi(w)], g[w]) > cert.eps:
             return CertificateCheck(
                 False,
                 "shift_psi",
                 f"vertex {w}: f(psi(w)) = {f[cert.psi(w)]} exceeds g(w) + eps = {g[w]} + {cert.eps}",
             )
 
-    allowance = cert.control_factor * cert.eps
     for v, bound in enumerate(homotopy_sup_control(cert.chain_x, f)):
-        if bound - f[v] > allowance:
+        if eps_needed(bound, f[v], cert.control_factor) > cert.eps:
             return CertificateCheck(
                 False,
                 "control_x",
                 f"vertex {v}: homotopy sweeps {bound} > f(v) + {cert.control_factor}*eps",
             )
     for w, bound in enumerate(homotopy_sup_control(cert.chain_y, g)):
-        if bound - g[w] > allowance:
+        if eps_needed(bound, g[w], cert.control_factor) > cert.eps:
             return CertificateCheck(
                 False,
                 "control_y",
@@ -356,34 +363,20 @@ def _chain_from(
     return ContiguityChain(tuple(maps))
 
 
-def _control_excess(
+def _control_eps(
     complex: SimplicialComplex,
     f: VertexFunction,
     prev: dict[tuple[int, ...], tuple[int, ...] | None],
-    memo: dict[tuple[int, ...], tuple[float, ...]],
+    factor: float,
+    memo: dict[tuple[int, ...], float],
     h: tuple[int, ...],
-) -> tuple[float, ...]:
-    """Per vertex: the value swept by h's chain to the identity minus the
-    vertex's own value, as check_certificate computes it; memoised per h."""
-    excess = memo.get(h)
-    if excess is None:
+) -> float:
+    """The least eps (at least 0) that the sweep of h's chain to the identity
+    allows, by the checker's own inequality; memoised per h."""
+    eps = memo.get(h)
+    if eps is None:
         bounds = homotopy_sup_control(_chain_from(complex, prev, h), f)
-        excess = memo[h] = tuple(map(sub, bounds, f.values))
-    return excess
-
-
-def _min_eps(shift: float, control_excess: tuple[float, ...], factor: float) -> float:
-    """Least eps >= shift (the largest shift diff, at least 0) with every
-    excess <= factor*eps, exactly as the checker will recompute them."""
-    eps = shift
-    for d in control_excess:
-        if d <= factor * eps:
-            continue
-        e = d / factor
-        while factor * e < d:  # guard against a downward-rounded quotient
-            e = math.nextafter(e, math.inf)
-        if e > eps:
-            eps = e
+        eps = memo[h] = max([0.0, *map(eps_needed, bounds, f.values, repeat(factor))])
     return eps
 
 
@@ -449,18 +442,21 @@ def search_certificate(
         return math.inf, None
     reach_x = _chains_to_identity(X, max_chain_len - 1)
     reach_y = _chains_to_identity(Y, max_chain_len - 1)
-    shift_xy = {phi: max([0.0, *(g[w] - f[v] for v, w in enumerate(phi))]) for phi in maps_xy}
-    shift_yx = {psi: max([0.0, *(f[v] - g[w] for w, v in enumerate(psi))]) for psi in maps_yx}
-    excess_x = partial(_control_excess, X, f, reach_x, {})
-    excess_y = partial(_control_excess, Y, g, reach_y, {})
+    # up_xy[v][w]: the least eps with g(w) <= f(v) + eps, as the checker decides it
+    up_xy = [[eps_needed(y, x) for y in g] for x in f]
+    up_yx = [[eps_needed(x, y) for x in f] for y in g]
+    shift_xy = {phi: max([0.0, *map(list.__getitem__, up_xy, phi)]) for phi in maps_xy}
+    shift_yx = {psi: max([0.0, *map(list.__getitem__, up_yx, psi)]) for psi in maps_yx}
+    control_x = partial(_control_eps, X, f, reach_x, control_factor, {})
+    control_y = partial(_control_eps, Y, g, reach_y, control_factor, {})
     # An outer map a and a reachable round trip b.a = h pin the inner map b
     # on image(a), so b is looked up by that restriction instead of tried
     # against each a.  The outer side is the one with fewer reachable round
     # trips; the result does not depend on the choice.  Outer maps are taken
     # one image set at a time, so one restriction index is alive at a time.
-    sides = [(maps_xy, shift_xy, reach_x, excess_x), (maps_yx, shift_yx, reach_y, excess_y)]
+    sides = [(maps_xy, shift_xy, reach_x, control_x), (maps_yx, shift_yx, reach_y, control_y)]
     flip = len(reach_y) < len(reach_x)
-    (outer, shift_o, reach_o, excess_o), (inner, shift_i, reach_i, excess_i) = (
+    (outer, shift_o, reach_o, control_o), (inner, shift_i, reach_i, control_i) = (
         sides[::-1] if flip else sides
     )
     by_image: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -468,9 +464,9 @@ def search_certificate(
         by_image.setdefault(tuple(sorted(set(a))), []).append(a)
     pinned: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
 
-    # A pair's eps is at least both shifts, and control_factor * eps is at
-    # least every excess, so the skips below drop only pairs whose eps is
-    # above the best so far; ties fall through to the (phi, psi) order.
+    # A pair's eps is the max of its two shifts and its two control eps, so
+    # the skips below drop only pairs whose eps is above the best so far;
+    # ties fall through to the (phi, psi) order.
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     bound = math.inf
     for image, group in by_image.items():
@@ -488,8 +484,8 @@ def search_certificate(
                 partners = by_restriction.get(tuple(map(h_o.__getitem__, section)))
                 if partners is None:
                     continue
-                e_o = excess_o(h_o)
-                if control_factor * bound < max(e_o, default=0.0):
+                c_o = control_o(h_o)
+                if c_o > bound:
                     continue
                 for b in partners:
                     if shift_i[b] > bound:
@@ -497,10 +493,8 @@ def search_certificate(
                     h_i = tuple(map(a.__getitem__, b))
                     if h_i not in reach_i:
                         continue
-                    e_i = excess_i(h_i)
-                    phi, psi, ex, ey = (b, a, e_i, e_o) if flip else (a, b, e_o, e_i)
-                    eps = _min_eps(max(shift_o[a], shift_i[b]), ex + ey, control_factor)
-                    key = (eps, phi, psi)
+                    eps = max(shift_o[a], shift_i[b], c_o, control_i(h_i))
+                    key = (eps, b, a) if flip else (eps, a, b)
                     if best is None or key < best:
                         best = key
                         bound = eps
@@ -569,9 +563,7 @@ def verify_stability(
     entries = []
     for k in range(max_degree + 1):
         db, _ = bottleneck_distance(dx[k], dy[k])
-        entries.append(
-            StabilityEntry(k, db, cert.eps - db, db <= cert.eps + STABILITY_TOLERANCE)
-        )
+        entries.append(StabilityEntry(k, db, cert.eps - db, db <= cert.eps))
     return StabilityReport(cert.eps, tuple(entries), all(e.ok for e in entries))
 
 
@@ -595,17 +587,22 @@ def upshift_asymmetry_probe(
 
     Raising g by delta must re-certify at eps + delta (one shift condition
     relaxes, the other tightens by exactly delta, control allowances only
-    grow).  Lowering g by delta and keeping eps may or may not pass; the
-    probe records the observation either way.
+    grow).  The shifted values are rounded, so the up-shift is checked at
+    `up_eps`, the least float >= eps + lift, where lift is the largest
+    rise g.shifted(delta) - g rounded up.  Lowering g by delta and keeping
+    eps may or may not pass; the probe records the observation either way.
     """
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and non-negative, got {delta}")
     result = check_certificate(X, f, Y, g, cert)
     if not result.ok:
         raise ValueError(f"probe needs a valid certificate ({result.condition})")
-    up = check_certificate(X, f, Y, g.shifted(delta), replace(cert, eps=cert.eps + delta))
+    up_g = g.shifted(delta)
+    lift = max(map(eps_needed, up_g, g), default=0.0)
+    up_eps = eps_needed(cert.eps, -lift)
+    up = check_certificate(X, f, Y, up_g, replace(cert, eps=up_eps))
     down = check_certificate(X, f, Y, g.shifted(-delta), cert)
-    return ProbeReport(delta, cert.eps + delta, up, down)
+    return ProbeReport(delta, up_eps, up, down)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
+
+_LARGEST = sys.float_info.max
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class ParseError(ValueError):
@@ -37,6 +42,49 @@ class Bound:
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
+
+
+def eps_needed(x: float, base: float, factor: float = 1.0) -> float:
+    """The least float e with x <= base + factor*e in exact arithmetic.
+
+    So `x <= base + factor*eps` holds exactly iff `eps_needed(x, base,
+    factor) <= eps`, and every shifted inequality is decided here.  The
+    result is the least float >= (x - base)/factor: `inf` when that
+    overflows, negative when x < base.  ``factor`` must be positive and
+    finite.  With an infinite x or base it is -inf when the inequality
+    holds for every finite e and inf when it holds for none.
+
+    Two-sum gives the exact difference as d + err, so for a factor of 1 the
+    answer is d, or the next float up when err > 0.  Dividing by a power of
+    two is exact unless the quotient is subnormal or overflows; any other
+    case is settled with fractions.
+    """
+    d = x - base
+    if d - d:  # d is inf or nan
+        if math.isfinite(x) and math.isfinite(base):  # the difference overflowed
+            return _eps_needed_exact(x, base, factor)
+        # an infinite input: the inequality holds for every finite e, or for none
+        return -math.inf if x == -math.inf or base == math.inf else math.inf
+    bb = d - x
+    up = x - (d - bb) > base + bb  # the exact x - base is above d
+    if factor != 1.0:
+        q = d / factor
+        if not (
+            (factor == 2.0 or math.frexp(factor)[0] == 0.5)  # a power of two
+            and (_SMALLEST_NORMAL <= abs(q) <= _LARGEST or d == 0.0)
+        ):
+            return _eps_needed_exact(x, base, factor)
+        d = q
+    return math.nextafter(d, math.inf) if up else d
+
+
+def _eps_needed_exact(x: float, base: float, factor: float) -> float:
+    q = (Fraction(x) - Fraction(base)) / Fraction(factor)
+    try:
+        e = float(q)  # correctly rounded
+    except OverflowError:
+        return math.inf if q > 0 else -_LARGEST
+    return math.nextafter(e, math.inf) if Fraction(e) < q else e
 
 
 def fmt_value(x: float) -> str:

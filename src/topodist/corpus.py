@@ -32,7 +32,6 @@ from .mergetree import build_merge_tree, diagram_from_tree, interleaving_distanc
 from .persistence import compute_diagrams, h0_diagram_unionfind
 
 PROBE_DELTAS = (0.25, 1.0)
-VALUE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
     def leq(name: str, a: float, b: float, label_a: str, label_b: str) -> None:
         """One row of the inequality chain: a <= b."""
         detail = f"{label_a} {a} <= {label_b} {b}"
-        checks.append(CheckRow(name, a <= b + VALUE_TOLERANCE, detail))
+        checks.append(CheckRow(name, a <= b, detail))
 
     X, f = load_instance(pair.path_x)
     Y, g = load_instance(pair.path_y)
@@ -220,17 +219,9 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
             have = values.get(name)
             if have is None:
                 checks.append(CheckRow(f"expect:{name}", False, "value not computed"))
-            elif math.isinf(want) or math.isinf(have):
-                checks.append(
-                    CheckRow(f"expect:{name}", have == want, f"computed {have}, expected {want}")
-                )
             else:
                 checks.append(
-                    CheckRow(
-                        f"expect:{name}",
-                        abs(have - want) <= VALUE_TOLERANCE,
-                        f"computed {have}, expected {want}",
-                    )
+                    CheckRow(f"expect:{name}", have == want, f"computed {have}, expected {want}")
                 )
     return result
 

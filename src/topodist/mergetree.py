@@ -28,6 +28,7 @@ from .common import (
     ParseError,
     SizeGuardExceeded,
     content_lines,
+    eps_needed,
     fmt_value,
     parse_int,
     parse_value,
@@ -205,23 +206,20 @@ def diagram_from_tree(tree: MergeTree) -> PersistenceDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _carrier(tree: MergeTree, node: int, height: float) -> int:
-    """Carrier of the point at ``height`` on the ancestor path from ``node``."""
+def _carrier(tree: MergeTree, node: int, base: float, eps: float, factor: float = 1.0) -> int:
+    """Carrier of the point at height base + factor*eps on the ancestor path
+    from ``node``."""
     cur = node
-    while cur in tree.parent and tree.heights[tree.parent[cur]] <= height:
+    while cur in tree.parent and eps_needed(tree.heights[tree.parent[cur]], base, factor) <= eps:
         cur = tree.parent[cur]
     return cur
 
 
-def _alive(tree: MergeTree, height: float) -> list[int]:
-    """Carriers whose edge contains ``height`` (the branches alive there)."""
-    out = []
-    for n in tree.nodes():
-        if tree.heights[n] <= height and (
-            n == tree.root or height < tree.heights[tree.parent[n]]
-        ):
-            out.append(n)
-    return out
+def _alive(tree: MergeTree, base: float, eps: float) -> list[int]:
+    """Carriers whose edge contains height base + eps (the branches alive
+    there): nodes at or below it whose parent, if any, is above it."""
+    below = {n for n, y in tree.heights.items() if eps_needed(y, base) <= eps}
+    return [n for n in sorted(below) if tree.parent.get(n) not in below]
 
 
 def _lca_height(tree: MergeTree, a: int, b: int) -> float:
@@ -241,24 +239,31 @@ def _good_map(src: MergeTree, dst: MergeTree, eps: float) -> dict[int, int] | No
     Leaves are placed one at a time on a branch of dst alive at their height
     + eps.  For each pair of placed leaves, with ``merge`` the height where
     they join in src and ``meet`` the height where their image paths join in
-    dst, the map is continuous iff meet <= merge + eps, and the pair obeys
-    Touli-Wang's condition iff merge <= meet + eps.  Once every leaf is
-    placed, each leaf of dst must have the point 2*eps above it in the image.
+    dst (at least max(leaf heights) + eps), the map is continuous iff meet
+    <= merge + eps, and the pair obeys Touli-Wang's condition iff merge <=
+    meet + eps.  Once every leaf is placed, each leaf of dst must have the
+    point 2*eps above it in the image.  Every height comparison goes
+    through eps_needed, so each is exact.
     """
     h = src.heights
     leaves = src.leaves()
+    alive = [_alive(dst, h[leaf], eps) for leaf in leaves]
     image: dict[int, int] = {}
 
     def pair_ok(a: int, ca: int, b: int, cb: int) -> bool:
         merge = _lca_height(src, a, b)
-        meet = max(_lca_height(dst, ca, cb), max(h[a], h[b]) + eps)
-        return meet <= merge + eps and merge <= meet + eps
+        lca = _lca_height(dst, ca, cb)
+        # merge is above both leaves, so max(h[a], h[b]) + eps <= merge + eps
+        # always holds and continuity only asks lca <= merge + eps
+        return eps_needed(lca, merge) <= eps and (
+            eps_needed(merge, lca) <= eps or eps_needed(merge, max(h[a], h[b]), 2.0) <= eps
+        )
 
     def covered(t: int) -> bool:
-        top = dst.heights[t] + 2.0 * eps
-        target = _carrier(dst, t, top)
+        base = dst.heights[t]
+        target = _carrier(dst, t, base, eps, 2.0)
         return any(
-            h[leaf] + eps <= top and _carrier(dst, c, top) == target
+            eps_needed(h[leaf], base) <= eps and _carrier(dst, c, base, eps, 2.0) == target
             for leaf, c in image.items()
         )
 
@@ -266,7 +271,7 @@ def _good_map(src: MergeTree, dst: MergeTree, eps: float) -> dict[int, int] | No
         if i == len(leaves):
             return all(covered(t) for t in dst.leaves())
         leaf = leaves[i]
-        for cand in _alive(dst, h[leaf] + eps):
+        for cand in alive[i]:
             if all(pair_ok(leaf, cand, b, image[b]) for b in leaves[:i]):
                 image[leaf] = cand
                 if place(i + 1):
@@ -279,7 +284,7 @@ def _good_map(src: MergeTree, dst: MergeTree, eps: float) -> dict[int, int] | No
     for leaf, c in image.items():
         node = leaf
         while node not in fwd:
-            fwd[node] = _carrier(dst, c, h[node] + eps)
+            fwd[node] = _carrier(dst, c, h[node], eps)
             node = src.parent.get(node, node)
     return fwd
 
@@ -302,14 +307,15 @@ def check_interleaving(
 
 
 def interleaving_candidates(t1: MergeTree, t2: MergeTree) -> list[float]:
-    """Differences and half-differences of node heights across both trees;
-    the optimal interleaving value always lies in this set."""
+    """Differences and half-differences of node heights across both trees,
+    each the least float >= its exact value; the optimal interleaving value
+    always lies in this set."""
     hs = sorted(set(t1.heights.values()) | set(t2.heights.values()))
     cands = {0.0}
     for i, a in enumerate(hs):
         for b in hs[i + 1 :]:
-            cands.add(b - a)
-            cands.add((b - a) / 2.0)
+            cands.add(eps_needed(b, a))
+            cands.add(eps_needed(b, a, 2.0))
     return sorted(cands)
 
 
@@ -318,7 +324,13 @@ def _collapse_bound(t1: MergeTree, t2: MergeTree) -> float:
     other root's ray and both up-shifts land on the rays as well."""
     lo1, lo2 = min(t1.heights.values()), min(t2.heights.values())
     r1, r2 = t1.heights[t1.root], t2.heights[t2.root]
-    return max(0.0, r2 - lo1, r1 - lo2, (r1 - lo1) / 2.0, (r2 - lo2) / 2.0)
+    return max(
+        0.0,
+        eps_needed(r2, lo1),
+        eps_needed(r1, lo2),
+        eps_needed(r1, lo1, 2.0),
+        eps_needed(r2, lo2, 2.0),
+    )
 
 
 def interleaving_distance(t1: MergeTree, t2: MergeTree) -> Bound:

@@ -1,7 +1,8 @@
 """Random instance generators shared by the unit and acceptance tests.
 
 Values live on a dyadic grid (multiples of 1/64 in a small range) so that
-adding the shift constants used in the tests is exact in double precision.
+adding the shift constants used in the tests is exact in double precision;
+`non_dyadic_vertex_function` is the exception, for tests of rounding.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ def dyadic(rng: random.Random, lo: float = -2.0, hi: float = 2.0) -> float:
 
 def random_vertex_function(rng: random.Random, n: int) -> VertexFunction:
     return VertexFunction(tuple(dyadic(rng) for _ in range(n)))
+
+
+def non_dyadic_vertex_function(rng: random.Random, n: int, kind: str) -> VertexFunction:
+    """Values whose differences round in double precision: multiples of 1/3
+    or of 1/10 in [-2, 2], or ``random()`` draws."""
+    draw = {
+        "thirds": lambda: rng.randint(-6, 6) / 3,
+        "tenths": lambda: rng.randint(-20, 20) / 10,
+        "random": rng.random,
+    }[kind]
+    return VertexFunction(tuple(draw() for _ in range(n)))
 
 
 def random_connected_complex(

@@ -51,7 +51,6 @@ from gen import (
     random_vertex_function,
 )
 
-TOL = 1e-9
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 PAIR_NAMES = (
     "point_vs_edge",
@@ -83,7 +82,7 @@ def test_criterion_1_classical_stability():
         bound = linf_distance(f, g)
         for k in range(3):
             db, _ = bottleneck_distance(df[k], dg[k])
-            assert db <= bound + TOL, (K, f, g, k)
+            assert db <= bound, (K, f, g, k)
     print("ACCEPTANCE 1 (classical stability, 200 pairs x degrees 0..2): PASS")
 
 
@@ -100,7 +99,7 @@ def test_criterion_2_main_theorem_on_curated_pairs():
             report = verify_stability(*pair, cert, max_degree=kmax)
             assert report.ok, (name, report)
             for entry in report.entries:
-                assert entry.bottleneck <= cert.eps + TOL
+                assert entry.bottleneck <= cert.eps
     print("ACCEPTANCE 2 (main theorem on curated pairs, zero violations): PASS")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import topodist.certify
 from topodist.bottleneck import linf_distance
-from topodist.common import ParseError, SizeGuardExceeded
+from topodist.common import ParseError, SizeGuardExceeded, eps_needed
 from topodist.certify import (
     CONDITIONS,
     DEFAULT_CONTROL_FACTOR,
@@ -16,8 +16,7 @@ from topodist.certify import (
     ShiftCertificate,
     _chain_from,
     _chains_to_identity,
-    _control_excess,
-    _min_eps,
+    _control_eps,
     check_certificate,
     enumerate_simplicial_maps,
     format_certificate,
@@ -264,20 +263,26 @@ def product_search(X, f, Y, g, max_chain_len, control_factor):
     reference that the join on image(phi) must reproduce exactly."""
     reach_x = _chains_to_identity(X, max_chain_len - 1)
     reach_y = _chains_to_identity(Y, max_chain_len - 1)
-    maps_yx = enumerate_simplicial_maps(Y, X)
-    excess_x, excess_y = {}, {}
+    shift_yx = {
+        psi: max([0.0, *(eps_needed(f[psi[w]], g[w]) for w in range(len(g)))])
+        for psi in enumerate_simplicial_maps(Y, X)
+    }
+    control_x, control_y = {}, {}
     best = None
     for phi in enumerate_simplicial_maps(X, Y):
-        for psi in maps_yx:
+        shift_phi = max([0.0, *(eps_needed(g[phi[v]], f[v]) for v in range(len(f)))])
+        for psi, shift_psi in shift_yx.items():
             hx = tuple(psi[w] for w in phi)
             hy = tuple(phi[v] for v in psi)
             if hx not in reach_x or hy not in reach_y:
                 continue
-            shifts = [g[phi[v]] - f[v] for v in range(len(f))]
-            shifts += [f[psi[w]] - g[w] for w in range(len(g))]
-            excess = _control_excess(X, f, reach_x, excess_x, hx)
-            excess += _control_excess(Y, g, reach_y, excess_y, hy)
-            key = (_min_eps(max([0.0, *shifts]), excess, control_factor), phi, psi)
+            eps = max(
+                shift_phi,
+                shift_psi,
+                _control_eps(X, f, reach_x, control_factor, control_x, hx),
+                _control_eps(Y, g, reach_y, control_factor, control_y, hy),
+            )
+            key = (eps, phi, psi)
             if best is None or key < best:
                 best = key
     if best is None:
@@ -394,6 +399,16 @@ def test_verify_stability_same_domain_linf_certificate():
         cert = identity_certificate(K, eps=linf_distance(f, g))
         assert check_certificate(K, f, K, g, cert).ok
         assert verify_stability(K, f, K, g, cert).ok
+
+
+def test_search_certifies_a_rounded_difference_exactly():
+    # g - f rounds down to 1.0 in floats, but the exact difference is above 1
+    X = build_complex([[0]])
+    f, g = VertexFunction((2**-53 + 2**-60,)), VertexFunction((1 + 2**-52,))
+    eps, cert = search_certificate(X, f, X, g)
+    assert eps == math.nextafter(1.0, math.inf)
+    outcome = check_certificate(X, f, X, g, replace(cert, eps=1.0))
+    assert not outcome.ok and outcome.condition == "shift_phi"
 
 
 def test_probe_zero_delta_both_pass():

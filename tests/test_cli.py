@@ -1,10 +1,12 @@
+import math
 import random
 import shutil
 from pathlib import Path
 
 from topodist.cli import build_parser, main
+from topodist.common import fmt_sig
 from topodist.complexes import VertexFunction, load_instance, lower_star
-from topodist.mergetree import build_merge_tree, format_tree, load_tree
+from topodist.mergetree import build_merge_tree, format_tree, interleaving_distance, load_tree
 from topodist.persistence import load_diagrams
 
 from gen import caterpillar_tree, random_connected_complex, random_vertex_function
@@ -354,3 +356,31 @@ def test_instance_save_load_roundtrip(tmp_path):
     save_instance(p, K, f)
     K2, f2 = load_instance(p)
     assert (K2, f2) == (K, f)
+
+
+def test_dht_probe_recertifies_a_rounded_upshift(tmp_path, capsys):
+    # g + 0.25 rounds to 0.55, above f + (eps + 0.25) in floats
+    x, y, cert = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "cert.txt"
+    x.write_text("n 1\n0.1\n", encoding="utf-8")
+    y.write_text("n 1\n0.3\n", encoding="utf-8")
+    files = [str(x), str(y)]
+    assert run(capsys, ["dht", "search", *files, "--cert-out", str(cert)])[0] == 0
+    assert run(capsys, ["dht", "check", *files, str(cert)])[0] == 0
+    for delta in ("0.25", "1"):
+        code, out, _ = run(capsys, ["dht", "probe", *files, str(cert), "--delta", delta])
+        assert code == 0
+        assert "upshift_ok\ttrue" in out
+
+
+def test_mergetree_interleave_non_dyadic_heights(tmp_path, capsys):
+    t1, t2 = tmp_path / "t1.tree", tmp_path / "t2.tree"
+    t1.write_text("node 0 0.2\n", encoding="utf-8")
+    t2.write_text("node 0 -1.7\nnode 1 -1.5\nnode 2 -1\nedge 0 2\nedge 1 2\n", encoding="utf-8")
+    trees = [str(t1), str(t2)]
+    code, out, _ = run(capsys, ["mergetree", "interleave", *trees, "--distance"])
+    assert code == 0
+    distance = interleaving_distance(load_tree(t1), load_tree(t2)).upper
+    assert out == f"interleaving\t{fmt_sig(distance)}\n"
+    for eps, answer in ((distance, "true"), (math.nextafter(distance, 0.0), "false")):
+        code, out, _ = run(capsys, ["mergetree", "interleave", *trees, "--eps", repr(eps)])
+        assert code == 0 and out == f"interleave\t{answer}\n"

@@ -1,8 +1,12 @@
+import random
 import shutil
 from pathlib import Path
 
 import pytest
 
+from topodist.bottleneck import linf_distance
+from topodist.certify import ShiftCertificate, save_certificate
+from topodist.complexes import ContiguityChain, identity_map, save_instance
 from topodist.corpus import (
     CheckRow,
     CorpusReport,
@@ -11,6 +15,8 @@ from topodist.corpus import (
     run_corpus,
     run_pair,
 )
+
+from gen import non_dyadic_vertex_function, random_connected_complex
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -85,3 +91,30 @@ def test_probe_down_observations_recorded():
     notes = [n for n in strip.notes if n.startswith("probe_down")]
     assert "probe_down_0.25: holds" in notes
     assert "probe_down_1: fails (shift_psi)" in notes
+
+
+def test_non_dyadic_pairs_pass_every_check(tmp_path):
+    """run_pair on random 2-5-vertex connected pairs whose values are thirds,
+    tenths or random() draws: nothing raises and every row passes, so the
+    inequality chain holds exactly where differences round.  Shared-domain
+    pairs ship the identity certificate at the L-infinity distance, so the
+    checker, stability and the probes run on rounded values too."""
+    rng = random.Random(59)
+    for i in range(102):
+        X = random_connected_complex(rng, min_vertices=2, max_vertices=5)
+        Y = X if i % 2 else random_connected_complex(rng, min_vertices=2, max_vertices=5)
+        kind = ("thirds", "tenths", "random")[i % 3]
+        f = non_dyadic_vertex_function(rng, X.vertex_count, kind)
+        g = non_dyadic_vertex_function(rng, Y.vertex_count, kind)
+        pair = tmp_path / f"pair{i}"
+        pair.mkdir()
+        save_instance(pair / "x.txt", X, f)
+        save_instance(pair / "y.txt", Y, g)
+        if X == Y:
+            identity = ContiguityChain((identity_map(X),))
+            cert = ShiftCertificate(
+                identity_map(X), identity_map(X), linf_distance(f, g), identity, identity
+            )
+            save_certificate(pair / "cert.txt", cert)
+        result = run_pair(pair)
+        assert result.ok, (kind, [c for c in result.checks if not c.ok])

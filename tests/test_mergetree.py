@@ -116,6 +116,7 @@ def consistent_maps(src, dst, eps):
     child, and the walks from different children must agree.
     """
     leaves = src.leaves()
+    alive = {leaf: _alive(dst, src.heights[leaf], eps) for leaf in leaves}
     results = []
     forced = {}
 
@@ -124,14 +125,14 @@ def consistent_maps(src, dst, eps):
             results.append(dict(forced))
             return
         leaf = leaves[i]
-        for cand in _alive(dst, src.heights[leaf] + eps):
+        for cand in alive[leaf]:
             added = [leaf]
             forced[leaf] = cand
             node, image = leaf, cand
             ok = True
             while node in src.parent:
                 par = src.parent[node]
-                image = _carrier(dst, image, src.heights[par] + eps)
+                image = _carrier(dst, image, src.heights[par], eps)
                 if par in forced:
                     ok = forced[par] == image
                     break
@@ -150,8 +151,8 @@ def consistent_maps(src, dst, eps):
 def compositions_ok(src, fwd, back, eps):
     """back(fwd(.)) must act as the 2*eps up-shift on every node of src."""
     for n in src.nodes():
-        target_height = src.heights[n] + 2.0 * eps
-        if _carrier(src, back[fwd[n]], target_height) != _carrier(src, n, target_height):
+        up = (src.heights[n], eps, 2.0)  # the height 2*eps above n
+        if _carrier(src, back[fwd[n]], *up) != _carrier(src, n, *up):
             return False
     return True
 
@@ -160,12 +161,12 @@ def is_interleaving(t1, t2, fwd, back, eps):
     return compositions_ok(t1, fwd, back, eps) and compositions_ok(t2, back, fwd, eps)
 
 
-def product_interleaving(t1, t2, eps):
+def product_interleaving(t1, t2, eps, fwds, backs):
     """check_interleaving by the definition: every consistent map in each
-    direction, every (fwd, back) pair tested for the 2*eps composition rule.
-    The reference that the single eps-good map search must agree with."""
-    backs = consistent_maps(t2, t1, eps)
-    for fwd in consistent_maps(t1, t2, eps):
+    direction (``fwds`` and ``backs``, from consistent_maps), every (fwd,
+    back) pair tested for the 2*eps composition rule.  The reference that
+    the single eps-good map search must agree with."""
+    for fwd in fwds:
         for back in backs:
             if is_interleaving(t1, t2, fwd, back, eps):
                 return fwd, back
@@ -181,17 +182,16 @@ def test_good_map_matches_product_oracle():
         for t1, t2 in (pair, pair[::-1]):
             for eps in interleaving_candidates(t1, t2):
                 fwd = check_interleaving(t1, t2, eps)
-                ref = product_interleaving(t1, t2, eps)
+                fwds, backs = consistent_maps(t1, t2, eps), consistent_maps(t2, t1, eps)
+                ref = product_interleaving(t1, t2, eps, fwds, backs)
                 assert (fwd is None) == (ref is None), (t1, t2, eps)
                 triples += 1
                 if fwd is None:
                     continue
                 feasible += 1
-                assert fwd in consistent_maps(t1, t2, eps)
-                assert any(
-                    is_interleaving(t1, t2, fwd, back, eps)
-                    for back in consistent_maps(t2, t1, eps)
-                ), (t1, t2, eps)
+                assert fwd in fwds
+                found = any(is_interleaving(t1, t2, fwd, back, eps) for back in backs)
+                assert found, (t1, t2, eps)
     assert 0 < feasible < triples
 
 
@@ -200,6 +200,12 @@ def test_interleaving_distance_examples():
     assert interleaving_distance(t, t) == Bound(0.0, 0.0)
     assert interleaving_distance(t, branch_tree()) == Bound(0.5, 0.5)
     assert interleaving_distance(branch_tree(), t) == Bound(0.5, 0.5)  # symmetry
+
+
+def test_interleaving_with_a_root_at_infinity():
+    t = MergeTree({0: -1.0, 1: 0.0, 2: math.inf}, {0: 2, 1: 2}, 2)
+    assert interleaving_distance(t, t) == Bound(0.0, 0.0)
+    assert check_interleaving(t, t, 1.0) is not None
 
 
 def test_interleaving_monotone_in_eps():
