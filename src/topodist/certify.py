@@ -44,6 +44,7 @@ from .complexes import (
     SimplicialMap,
     VertexFunction,
     _require_fits,
+    _sweep,
     check_contiguity_chain,
     check_simplicial,
     compose,
@@ -225,12 +226,24 @@ def enumerate_simplicial_maps(
 
 
 def _each_simplicial_map(
-    src: SimplicialComplex, dst: SimplicialComplex, visit: Callable[[list[int]], None]
+    src: SimplicialComplex,
+    dst: SimplicialComplex,
+    visit: Callable[[list[int]], None],
+    closed: Callable[[list[Simplex], list[int], int, int], None] | None = None,
 ) -> None:
     """Call ``visit`` with the vertex images of every simplicial map src -> dst,
-    in no particular order; the list is reused between calls.
+    in depth-first order; the list is reused between calls.
 
-    Each facet is checked exactly once, when its last vertex is assigned.
+    Each facet is checked exactly once, when its last vertex v is assigned:
+    v tries only the targets that complete the image of the facet's other
+    vertices to a simplex (see _completions), intersected over the facets
+    completed at v.
+
+    The maps below one partial assignment get consecutive visit indices.
+    If given, ``closed(facets, image, start, end)`` is called once the maps
+    start..end-1 below an assignment have been visited, with the facets that
+    assignment completed; all those maps send each of them where ``image``
+    does.
     """
     if src.vertex_count == 0:
         visit([])
@@ -238,33 +251,51 @@ def _each_simplicial_map(
     if dst.vertex_count == 0:
         return
     order, complete_at = _facet_completion_order(src)
-    spans = _spans(dst)
-    # a single vertex always maps to a simplex
-    checks = [[facet for facet in facets if len(facet) > 1] for facets in complete_at]
-    targets = range(dst.vertex_count)
+    completions = _completions(dst)
+    nothing: frozenset[int] = frozenset()
+    anything = completions[nothing]
+    # per position, the other vertices of each facet completed there
+    others = [
+        [tuple(u for u in facet if u != v) for facet in facets]
+        for v, facets in zip(order, complete_at)
+    ]
+    hooks = [facets if closed is not None and facets else None for facets in complete_at]
     image = [0] * src.vertex_count
     at = image.__getitem__
+    last = len(order) - 1
+    count = 0
 
     def extend(i: int) -> None:
-        if i == len(order):
-            visit(image)
-            return
+        nonlocal count
         v = order[i]
-        facets = checks[i]
-        for w in targets:
+        candidates = anything
+        for rest in others[i]:
+            candidates = candidates & completions.get(frozenset(map(at, rest)), nothing)
+        hook = hooks[i]
+        for w in candidates:
             image[v] = w
-            for facet in facets:
-                if frozenset(map(at, facet)) not in spans:
-                    break
+            start = count
+            if i == last:
+                visit(image)
+                count += 1
             else:
                 extend(i + 1)
+            if hook is not None and count > start:
+                closed(hook, image, start, count)
 
     extend(0)
 
 
-def _spans(complex: SimplicialComplex) -> set[frozenset[int]]:
-    """The simplices of the complex as vertex sets."""
-    return {frozenset(s) for s in complex.simplices}
+def _completions(complex: SimplicialComplex) -> dict[frozenset[int], frozenset[int]]:
+    """For each simplex A as a vertex set (the empty set included), the
+    vertices w with A | {w} a simplex, the vertices of A included."""
+    table: dict[frozenset[int], set[int]] = {frozenset(): set(range(complex.vertex_count))}
+    for s in complex.simplices:
+        span = frozenset(s)
+        table.setdefault(span, set()).update(s)
+        for w in s:
+            table.setdefault(span - {w}, set()).add(w)
+    return {a: frozenset(ws) for a, ws in table.items()}
 
 
 def _chains_to_identity(
@@ -277,44 +308,49 @@ def _chains_to_identity(
     identity itself).  Reversing the links yields a shortest contiguity
     chain ending at the identity.
 
-    The graph spans all self-maps at once, as bitmasks over their indices:
-    per facet, the maps are grouped by image set, and each image set A gets
-    the OR of the groups of every image set B with A | B a simplex.  A map's
-    neighbours are the AND of those masks over its facets.  Keying by image
-    set, not by image tuple, keeps that table at (distinct sets)^2 entries.
-    The self-maps are kept as one flat array, and only reached ones become
-    tuples.
+    The graph spans all self-maps at once, as bitmasks over their visit
+    indices: per facet, the maps are grouped by image set, and each image
+    set A gets the OR of the groups of every image set B with A | B a
+    simplex.  A map's neighbours are the AND of those masks over its facets.
+    Keying by image set, not by image tuple, keeps that table at (distinct
+    sets)^2 entries.  A facet's image is fixed where the enumeration
+    completes it, so each group is built from whole index ranges, one per
+    such subtree.  The self-maps are kept as one flat array, and only
+    reached ones become tuples.
     """
     n = complex.vertex_count
     ident = tuple(range(n))
     prev: dict[tuple[int, ...], tuple[int, ...] | None] = {ident: None}
     if max_steps == 0 or n == 0:
         return prev
-    facets = complex.facets
-    # the repeated first vertex makes a one-vertex facet's image a tuple too
-    images_of = [itemgetter(*facet, facet[0]) for facet in facets]
-    by_tuple: list[dict[tuple[int, ...], array[int]]] = [{} for _ in facets]
+    # per facet, the maps by image set, and the image tuple getter; the
+    # repeated first vertex makes a one-vertex facet's image a tuple too
+    by_set = {facet: ({}, itemgetter(*facet, facet[0])) for facet in complex.facets}
+    # one frozenset per distinct image tuple: building it on every call
+    # cost more than the rest of the hook
+    as_set: dict[tuple[int, ...], frozenset[int]] = {}
     flat = array("I")
 
-    def record(image: list[int]) -> None:
-        i = len(flat) // n
-        flat.extend(image)
-        for image_of, groups in zip(images_of, by_tuple):
-            groups.setdefault(image_of(image), array("I")).append(i)
+    def closed(facets: list[Simplex], image: list[int], start: int, end: int) -> None:
+        bits = (1 << end) - (1 << start)  # bits start..end-1
+        for facet in facets:
+            groups, image_of = by_set[facet]
+            t = image_of(image)
+            a = as_set.get(t)
+            if a is None:
+                a = as_set[t] = frozenset(t)
+            groups[a] = groups.get(a, 0) | bits
 
-    _each_simplicial_map(complex, complex, record)
+    _each_simplicial_map(complex, complex, flat.extend, closed)
     count = len(flat) // n
-    spans = _spans(complex)
-    tables = []
-    for facet, groups in zip(facets, by_tuple):
-        members: dict[frozenset[int], array[int]] = {}
-        for image, indices in groups.items():
-            members.setdefault(frozenset(image), array("I")).extend(indices)
-        masks = {a: _bitmask(indices, count) for a, indices in members.items()}
-        tables.append((facet, {
-            a: reduce(or_, (mask for b, mask in masks.items() if (a | b) in spans), 0)
-            for a in masks
-        }))
+    spans = {frozenset(s) for s in complex.simplices}
+    tables = [
+        (facet, {
+            a: reduce(or_, (mask for b, mask in groups.items() if (a | b) in spans), 0)
+            for a in groups
+        })
+        for facet, (groups, _) in by_set.items()
+    ]
 
     every = (1 << count) - 1
     seen = 0
@@ -341,14 +377,6 @@ def _chains_to_identity(
     return prev
 
 
-def _bitmask(indices: array[int], size: int) -> int:
-    """The int with bit i set for every i in ``indices``."""
-    bits = bytearray((size + 7) // 8)
-    for i in indices:
-        bits[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(bits, "little")
-
-
 def _chain_from(
     complex: SimplicialComplex,
     prev: dict[tuple[int, ...], tuple[int, ...] | None],
@@ -364,7 +392,6 @@ def _chain_from(
 
 
 def _control_eps(
-    complex: SimplicialComplex,
     f: VertexFunction,
     prev: dict[tuple[int, ...], tuple[int, ...] | None],
     factor: float,
@@ -372,10 +399,16 @@ def _control_eps(
     h: tuple[int, ...],
 ) -> float:
     """The least eps (at least 0) that the sweep of h's chain to the identity
-    allows, by the checker's own inequality; memoised per h."""
+    allows, by the checker's own inequality; memoised per h.  The sweep is
+    read off the chain's image tuples by homotopy_sup_control's helper."""
     eps = memo.get(h)
     if eps is None:
-        bounds = homotopy_sup_control(_chain_from(complex, prev, h), f)
+        chain = []
+        img: tuple[int, ...] | None = h
+        while img is not None:
+            chain.append(img)
+            img = prev[img]
+        bounds = _sweep(chain, f.values)
         eps = memo[h] = max([0.0, *map(eps_needed, bounds, f.values, repeat(factor))])
     return eps
 
@@ -391,12 +424,11 @@ def _factor_through(
     (the vertices that share a slot).
     """
     section = [slots.index(k) for k in range(len(set(slots)))]
-    trips = []
-    for h in reach:
-        restriction = tuple(map(h.__getitem__, section))
-        if tuple(map(restriction.__getitem__, slots)) == h:
-            trips.append(h)
-    return section, trips
+    if len(section) == len(slots):  # no two vertices share a slot
+        return section, list(reach)
+    # h must agree with h at the first vertex of each one's fibre
+    first = itemgetter(*map(section.__getitem__, slots))
+    return section, [h for h in reach if first(h) == h]
 
 
 def search_certificate(
@@ -414,8 +446,8 @@ def search_certificate(
     in the contiguity graph within max_chain_len maps, the least certified
     eps is a closed-form max of shift and control violations.  The control
     side is the sweep of each round trip's shortest chain to the identity,
-    taken from homotopy_sup_control (the checker's own function) once per
-    distinct round trip.  Returns the minimum over all pairs and the
+    taken from the helper of homotopy_sup_control (the checker's own
+    function) once per distinct round trip.  Returns the minimum over all pairs and the
     witnessing certificate, choosing the lexicographically smallest
     (phi, psi) among minimizers; (inf, None) when no round trip reaches the
     identity within the chain budget.
@@ -447,13 +479,15 @@ def search_certificate(
     up_yx = [[eps_needed(x, y) for x in f] for y in g]
     shift_xy = {phi: max([0.0, *map(list.__getitem__, up_xy, phi)]) for phi in maps_xy}
     shift_yx = {psi: max([0.0, *map(list.__getitem__, up_yx, psi)]) for psi in maps_yx}
-    control_x = partial(_control_eps, X, f, reach_x, control_factor, {})
-    control_y = partial(_control_eps, Y, g, reach_y, control_factor, {})
+    control_x = partial(_control_eps, f, reach_x, control_factor, {})
+    control_y = partial(_control_eps, g, reach_y, control_factor, {})
     # An outer map a and a reachable round trip b.a = h pin the inner map b
     # on image(a), so b is looked up by that restriction instead of tried
     # against each a.  The outer side is the one with fewer reachable round
     # trips; the result does not depend on the choice.  Outer maps are taken
-    # one image set at a time, so one restriction index is alive at a time.
+    # one image set at a time, so one restriction index is alive at a time,
+    # and it is built only once a map with that image passes the shift bound
+    # and has a round trip to look up.
     sides = [(maps_xy, shift_xy, reach_x, control_x), (maps_yx, shift_yx, reach_y, control_y)]
     flip = len(reach_y) < len(reach_x)
     (outer, shift_o, reach_o, control_o), (inner, shift_i, reach_i, control_i) = (
@@ -470,9 +504,7 @@ def search_certificate(
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     bound = math.inf
     for image, group in by_image.items():
-        by_restriction: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for b in inner:
-            by_restriction.setdefault(tuple(map(b.__getitem__, image)), []).append(b)
+        by_restriction: dict[tuple[int, ...], list[tuple[int, ...]]] | None = None
         for a in group:
             if shift_o[a] > bound:
                 continue
@@ -480,6 +512,12 @@ def search_certificate(
             if slots not in pinned:
                 pinned[slots] = _factor_through(slots, reach_o)
             section, trips = pinned[slots]
+            if not trips:
+                continue
+            if by_restriction is None:
+                by_restriction = {}
+                for b in inner:
+                    by_restriction.setdefault(tuple(map(b.__getitem__, image)), []).append(b)
             for h_o in trips:
                 partners = by_restriction.get(tuple(map(h_o.__getitem__, section)))
                 if partners is None:

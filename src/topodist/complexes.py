@@ -321,9 +321,13 @@ def homotopy_sup_control(
     """
     if len(g) != chain.target.vertex_count:
         raise ValueError("function length does not match the chain target")
-    values = g.values
-    images = zip(*(m.vertex_image for m in chain.maps))
-    return tuple(max(map(values.__getitem__, ws)) for ws in images)
+    return _sweep([m.vertex_image for m in chain.maps], g.values)
+
+
+def _sweep(images: Iterable[tuple[int, ...]], values: tuple[float, ...]) -> tuple[float, ...]:
+    """Per source vertex, the max of ``values`` over that vertex's images in
+    the given vertex-image tuples: homotopy_sup_control without the types."""
+    return tuple(max(map(values.__getitem__, ws)) for ws in zip(*images))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,9 @@ class MergeTree:
             raise ValueError("a merge tree needs at least one node")
         if self.root not in nodes:
             raise ValueError("root is not a node")
+        for n, h in self.heights.items():
+            if math.isnan(h):
+                raise ValueError(f"node {n} has a NaN height")
         if set(self.parent) != nodes - {self.root}:
             raise ValueError("every node except the root needs exactly one parent")
         children: dict[int, int] = {n: 0 for n in nodes}

@@ -16,7 +16,6 @@ from topodist.certify import (
     ShiftCertificate,
     _chain_from,
     _chains_to_identity,
-    _control_eps,
     check_certificate,
     enumerate_simplicial_maps,
     format_certificate,
@@ -170,7 +169,8 @@ def test_search_deterministic():
 def bfs_oracle(K, max_steps):
     """Links of a BFS from the identity over all n^n self-maps, filtered by
     check_simplicial, with adjacency from complexes.contiguous; each newly
-    reached map links to the smallest frontier map contiguous to it."""
+    reached map links to the smallest frontier map contiguous to it.
+    Yields the links after 0, 1, ..., max_steps steps."""
     n = K.vertex_count
     self_maps = [
         m
@@ -178,6 +178,7 @@ def bfs_oracle(K, max_steps):
         if check_simplicial(m)
     ]
     prev = {tuple(range(n)): None}
+    yield dict(prev)
     frontier = [identity_map(K)]
     for _ in range(max_steps):
         new = []
@@ -188,12 +189,23 @@ def bfs_oracle(K, max_steps):
                     prev[m.vertex_image] = link.vertex_image
                     new.append(m)
         frontier = new
-    return prev
+        yield dict(prev)
 
 
 def assert_bfs_matches_oracle(K):
-    for steps in range(4):
-        assert _chains_to_identity(K, steps) == bfs_oracle(K, steps)
+    assert [_chains_to_identity(K, steps) for steps in range(4)] == list(bfs_oracle(K, 3))
+
+
+def brute_force_map_count(src, dst):
+    """The number of simplicial maps src -> dst, by checking all m^n vertex maps."""
+    n, m = src.vertex_count, dst.vertex_count
+    return sum(
+        1
+        for code in range(m**n)
+        if check_simplicial(
+            SimplicialMap(src, dst, tuple((code // m**v) % m for v in range(n)))
+        )
+    )
 
 
 def test_enumerate_simplicial_maps_all_simplicial():
@@ -205,22 +217,33 @@ def test_enumerate_simplicial_maps_all_simplicial():
         assert images == sorted(images)
         for img in images:
             assert check_simplicial(SimplicialMap(src, dst, img))
-        n, m = src.vertex_count, dst.vertex_count
-        brute = sum(
-            1
-            for code in range(m**n)
-            if check_simplicial(
-                SimplicialMap(
-                    src, dst, tuple((code // m**v) % m for v in range(n))
-                )
-            )
-        )
-        assert len(images) == brute
+        assert len(images) == brute_force_map_count(src, dst)
         assert_bfs_matches_oracle(src)
     # hollow cycles, where the images of an edge under two maps can span a
     # missing triangle, so contiguity cuts the graph
     assert_bfs_matches_oracle(build_complex([[0, 1], [1, 2], [0, 2]]))
     assert_bfs_matches_oracle(build_complex([[0, 1], [1, 2], [2, 3], [0, 3]]))
+
+
+def test_enumerate_and_bfs_match_brute_force_on_five_vertices():
+    # the expansion shapes of the desk corpus: a filled triangle with a
+    # pendant edge, that complex coned over an edge, a filled triangle coned
+    # over an edge, and a cone over a triangle (a solid tetrahedron)
+    pendant = build_complex([[0, 1, 2], [2, 3]])
+    shapes = [
+        build_complex([[0, 1, 2], [2, 3], [1, 2, 4]]),
+        build_complex([[0, 1, 2], [2, 3], [2, 3, 4]]),
+        build_complex([[0, 1, 2], [1, 2, 3]]),
+        build_complex([[0, 1, 2], [2, 3], [0, 1, 2, 4]], max_dim=3),
+    ]
+    rng = random.Random(11)
+    shapes += [random_connected_complex(rng, min_vertices=5, max_vertices=5) for _ in range(2)]
+    for src in shapes:
+        for dst in (pendant, src):
+            images = enumerate_simplicial_maps(src, dst)
+            assert len(images) == len(set(images)) == brute_force_map_count(src, dst)
+            assert all(check_simplicial(SimplicialMap(src, dst, img)) for img in images)
+        assert_bfs_matches_oracle(src)
 
 
 def edge_walk_sup_control(chain, fc):
@@ -267,7 +290,21 @@ def product_search(X, f, Y, g, max_chain_len, control_factor):
         psi: max([0.0, *(eps_needed(f[psi[w]], g[w]) for w in range(len(g)))])
         for psi in enumerate_simplicial_maps(Y, X)
     }
-    control_x, control_y = {}, {}
+
+    def control(K, fn, reach):
+        """h -> the least eps that the checker's sweep of h's chain allows."""
+        memo = {}
+
+        def eps_of(h):
+            if h not in memo:
+                bounds = homotopy_sup_control(_chain_from(K, reach, h), fn)
+                need = [eps_needed(b, y, control_factor) for b, y in zip(bounds, fn)]
+                memo[h] = max([0.0, *need])
+            return memo[h]
+
+        return eps_of
+
+    control_x, control_y = control(X, f, reach_x), control(Y, g, reach_y)
     best = None
     for phi in enumerate_simplicial_maps(X, Y):
         shift_phi = max([0.0, *(eps_needed(g[phi[v]], f[v]) for v in range(len(f)))])
@@ -279,8 +316,8 @@ def product_search(X, f, Y, g, max_chain_len, control_factor):
             eps = max(
                 shift_phi,
                 shift_psi,
-                _control_eps(X, f, reach_x, control_factor, control_x, hx),
-                _control_eps(Y, g, reach_y, control_factor, control_y, hy),
+                control_x(hx),
+                control_y(hy),
             )
             key = (eps, phi, psi)
             if best is None or key < best:

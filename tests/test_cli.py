@@ -173,6 +173,20 @@ def test_mergetree_interleave_eps_nan_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "eps must be non-negative" in err
 
 
+def test_mergetree_interleave_nan_height_exit_2(tmp_path, capsys):
+    nan_tree = tmp_path / "nan.tree"
+    zero_tree = tmp_path / "zero.tree"
+    nan_tree.write_text("node 0 nan\n", encoding="utf-8")
+    zero_tree.write_text("node 0 0\n", encoding="utf-8")
+    for mode in (["--eps", "1"], ["--distance"]):
+        code, out, err = run(
+            capsys, ["mergetree", "interleave", str(nan_tree), str(zero_tree), *mode]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "NaN height" in err
+
+
 def test_mergetree_interleave_distance_bracket_above_guard(tmp_path, capsys):
     big = tmp_path / "big.tree"
     point = tmp_path / "point.tree"

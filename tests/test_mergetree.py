@@ -273,6 +273,8 @@ def test_tree_validation():
         MergeTree({0: 0.0, 1: 1.0, 2: 2.0}, {0: 1, 1: 2}, 2)
     with pytest.raises(ValueError, match="parent"):
         MergeTree({0: 0.0, 1: 1.0}, {}, 1)
+    with pytest.raises(ValueError, match="node 0 has a NaN height"):
+        MergeTree({0: math.nan}, {}, 0)
 
 
 def test_tree_format_roundtrip():
@@ -292,3 +294,5 @@ def test_parse_tree_errors():
         parse_tree("node 0 0\nnode 1 1\nedge 0 1\n")
     with pytest.raises(ParseError):
         parse_tree("node 0\n")
+    with pytest.raises(ParseError, match="NaN height"):
+        parse_tree("node 0 nan\n")
