@@ -1,9 +1,15 @@
 """Bottleneck distance between diagrams, L-infinity distance, and an
 enumerative upper bound for the natural pseudo-distance.
 
-The bottleneck optimum is found by binary search over the finite set of
-candidate costs (all pairwise costs and all diagonal costs); the optimum is
-always one of these, so the result is exact with no tolerance.
+The bottleneck optimum is a pair cost or a diagonal cost, so it is found
+exactly, with no tolerance, by search over those costs; no all-pairs matrix is
+formed.  Every matching pays at least L, the largest over points of the
+cheaper of its diagonal cost and its cheapest partner.  The search probes L,
+then gallops up (doubling, capped by the largest diagonal cost) until a probe
+at some T is feasible, and binary-searches the candidates up to T: the
+diagonal and pair costs in (last infeasible probe, T].  A point's neighbours
+at T come from its birth window on the other side, the points with
+|birth1 - birth2| <= T in float arithmetic, filtered by death.
 
 Feasibility at a threshold t is one-sided.  A point is *forced* at t when
 its diagonal cost exceeds t; any other point may go to the diagonal.  So t is
@@ -26,7 +32,7 @@ infinite.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, permutations
 from typing import Sequence
@@ -62,27 +68,67 @@ def _finite_layer(
     """Optimal bottleneck matching of finite points, diagonal allowed.
 
     Vertices 0..n1-1 are the points of pts1 and n1.. those of pts2; mate[v]
-    is v's partner or -1 (the diagonal).  Each vertex's neighbours are sorted
-    once by pair cost, so its edges at a threshold are a prefix of that list;
-    cheapest first also keeps the alternating paths short.
+    is v's partner or -1 (the diagonal).  The neighbours of a vertex at the
+    gallop's threshold are sorted by pair cost, so its edges at any lower t
+    are a prefix of that list; cheapest first also keeps the alternating
+    paths short.
     """
     n1 = len(pts1)
-    cost = [[max(b - y, y - b, d - z, z - d) for y, z in pts2] for b, d in pts1]
-    diag = [(d - b) / 2.0 for b, d in pts1 + pts2]
-    candidates = sorted({0.0, *diag, *chain.from_iterable(cost)})
-    # rows[v][k]: cost from v to vertex base[v] + k of the other diagram
-    rows = cost + ([list(col) for col in zip(*cost)] if cost else [[] for _ in pts2])
-    base = [n1] * n1 + [0] * len(pts2)
-    order = [sorted(range(len(row)), key=row.__getitem__) for row in rows]
+    pts = pts1 + pts2
+    diag = [(d - b) / 2.0 for b, d in pts]
+    if not diag:
+        return 0.0, []
+    # each side's vertex ids, births and points, sorted by birth
+    sides = []
+    for lo, hi in ((0, n1), (n1, len(pts))):
+        ids = sorted(range(lo, hi), key=lambda v: pts[v][0])
+        sides.append((ids, [pts[v][0] for v in ids], [pts[v] for v in ids]))
+    other = [sides[1]] * n1 + [sides[0]] * len(pts2)
+
+    # Every matching pays at least each point's cheaper way out: its diagonal
+    # or its cheapest partner.  A pair costs at least |b - y|, so the scan
+    # outward from b along the other side's births stops once that reaches
+    # the best cost so far.
+    lower = 0.0
+    for v, (b, d) in enumerate(pts):
+        _, births, side = other[v]
+        best = diag[v]
+        k = bisect_left(births, b)
+        for y, z in islice(side, k, None):
+            if y - b >= best:
+                break
+            best = min(best, max(b - y, y - b, d - z, z - d))
+        for y, z in islice(reversed(side), len(side) - k, None):
+            if b - y >= best:
+                break
+            best = min(best, max(b - y, y - b, d - z, z - d))
+        lower = max(lower, best)
+
+    def neighbours(t: float) -> tuple[list[list[int]], list[list[float]]]:
+        """Per vertex, the other side's vertices within t, sorted by cost,
+        and those costs.  The birth window holds exactly the points with
+        fl|b - y| <= t (y - b is monotone in y and fl(b - y) == -fl(y - b),
+        while b - t would round); within it, the death test decides."""
+        nbrs, costs = [], []
+        for v, (b, d) in enumerate(pts):
+            ids, births, side = other[v]
+            k0 = bisect_left(births, -t, key=lambda y: y - b)
+            k1 = bisect_right(births, t, key=lambda y: y - b)
+            within = [k for k, (y, z) in enumerate(side[k0:k1], k0) if -t <= z - d <= t]
+            row = [max(b - y, y - b, d - z, z - d) for y, z in map(side.__getitem__, within)]
+            by_cost = sorted(range(len(row)), key=row.__getitem__)
+            nbrs.append([ids[within[k]] for k in by_cost])
+            costs.append([row[k] for k in by_cost])
+        return nbrs, costs
 
     def probe(t: float, warm: list[int]) -> list[int] | None:
         """A matching at t covering every forced point, or None."""
         forced = [c > t for c in diag]
-        degree = [bisect_right(o, t, key=row.__getitem__) for o, row in zip(order, rows)]
-        mate = [-1] * len(diag)
+        degree = [bisect_right(c, t) for c in costs]
+        mate = [-1] * len(pts)
         for i in range(n1):
             j = warm[i]
-            if j != -1 and cost[i][j - n1] <= t:
+            if j != -1 and _pair_cost(pts[i], pts[j]) <= t:
                 mate[i], mate[j] = j, i
         # ids run over pts1 first: cover its forced points, then those of pts2
         for root, must in enumerate(forced):
@@ -97,7 +143,7 @@ def _finite_layer(
         stays covered."""
         seen = bytearray(len(mate))
         prev: dict[int, int] = {}
-        stack = [(root, map(base[root].__add__, islice(order[root], degree[root])))]
+        stack = [(root, islice(nbrs[root], degree[root]))]
         while stack:
             u, edges = stack[-1]
             for v in edges:
@@ -107,7 +153,7 @@ def _finite_layer(
                 prev[v] = u
                 w = mate[v]
                 if w != -1 and forced[w]:
-                    stack.append((w, map(base[w].__add__, islice(order[w], degree[w]))))
+                    stack.append((w, islice(nbrs[w], degree[w])))
                     break
                 if w != -1:
                     mate[w] = -1
@@ -119,7 +165,21 @@ def _finite_layer(
                 stack.pop()
         return False
 
-    mate = [-1] * len(diag)  # the last feasible matching: each probe's warm start
+    # Gallop up from the lower bound until a probe is feasible.  The floor
+    # step leaves 0 (duplicate points); at the largest diagonal cost nothing
+    # is forced, so the loop ends.
+    least, top = min((c for c in diag if c > 0.0), default=0.0), max(diag)
+    below, t = math.nextafter(lower, -math.inf), lower
+    while True:
+        nbrs, costs = neighbours(t)
+        mate = probe(t, [-1] * len(pts))
+        if mate is not None:
+            break
+        below, t = t, min(max(2.0 * t, least), top)
+    # Feasibility at t equals that at the largest cost <= t, and nothing
+    # below the lower bound or at an infeasible probe passes, so the optimum
+    # is a diagonal or pair cost in (below, t].  lower is one of them.
+    candidates = sorted({c for c in chain(diag, *costs[:n1]) if below < c <= t})
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2

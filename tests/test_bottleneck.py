@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import pytest
 
@@ -238,6 +239,27 @@ def test_duplicate_points_are_multiset_matched():
     assert sorted(i for i, _ in matching.pairs if i is not None) == [0, 1]
 
 
+def within_seconds(seconds, fn, *args):
+    """fn(*args), failing the test if it has not returned after seconds."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{fn.__name__} still running after {seconds} s"
+    return result[0]
+
+
+def test_zero_lower_bound_steps_off_zero():
+    """Identical diagrams and duplicate points make the lower bound 0; with
+    duplicates 0 is infeasible, and doubling 0 would never leave it."""
+    d = D((0.0, 2.0), (0.5, 3.0), (0.5, 3.0), (1.0, math.inf))
+    assert within_seconds(10, bottleneck_distance, d, d)[0] == 0.0 == bottleneck_bruteforce(d, d)
+    two, one = D((0.0, 2.0), (0.0, 2.0)), D((0.0, 2.0))
+    for d1, d2 in ((two, one), (one, two)):
+        dist, _ = within_seconds(10, bottleneck_distance, d1, d2)
+        assert dist == bottleneck_bruteforce(d1, d2) == 1.0
+
+
 def test_oracle_on_real_filtration_diagrams():
     """Brute force agreement on diagrams produced by actual filtrations,
     whose points are correlated, unlike the synthetic generator's."""
@@ -274,8 +296,20 @@ def _doubled_graph_perfect(d1, d2, t):
     return bool((match >= 0).all())
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_doubled_graph_oracle_at_scale(seed):
+# (seed, noise added to f at each vertex, whether some degree's distance must
+# be strictly below linf): the dyadic spreads of seeds 1-3, a near pair of
+# random() draws, and a far pair whose birth windows span most pairs
+AT_SCALE_PAIRS = [
+    pytest.param(s, lambda rng, s=s: rng.randint(-8 * s, 8 * s) / 64.0, False, id=str(s))
+    for s in (1, 2, 3)
+] + [
+    pytest.param(4, lambda rng: (rng.random() - 0.5) / 4, True, id="near-non-dyadic"),
+    pytest.param(5, lambda rng: rng.randint(-64, 64) / 64.0, False, id="far"),
+]
+
+
+@pytest.mark.parametrize("seed, noise, below_linf", AT_SCALE_PAIRS)
+def test_doubled_graph_oracle_at_scale(seed, noise, below_linf):
     """Lower-star diagrams of a 40x40 grid (about 200 points): scipy finds a
     perfect doubled-graph matching at the returned value and none one ulp
     below it, and the witness is full with max pair cost equal to the value."""
@@ -283,12 +317,18 @@ def test_doubled_graph_oracle_at_scale(seed):
     rng = random.Random(seed)
     K = grid_complex(40)
     f = random_vertex_function(rng, K.vertex_count)
-    g = VertexFunction(tuple(v + rng.randint(-8 * seed, 8 * seed) / 64.0 for v in f))
+    g = VertexFunction(tuple(v + noise(rng) for v in f))
     df = compute_diagrams(lower_star(K, f), 1)
     dg = compute_diagrams(lower_star(K, g), 1)
+    values = []
     for k in range(2):
         assert min(len(df[k]), len(dg[k])) >= 150
         dist, matching = bottleneck_distance(df[k], dg[k])
         assert _doubled_graph_perfect(df[k], dg[k], dist)
         assert not _doubled_graph_perfect(df[k], dg[k], math.nextafter(dist, -math.inf))
         assert witness_cost(df[k], dg[k], matching) == dist == matching.cost
+        values.append(dist)
+    linf = linf_distance(f, g)
+    assert max(values) <= linf
+    if below_linf:  # the value is not simply the largest vertex move
+        assert min(values) < linf
