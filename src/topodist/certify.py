@@ -12,8 +12,10 @@ the shift inequalities at vertices is enough: the value of a simplex is the
 max over its vertices, and max commutes with a uniform shift, so every
 simplex-level inequality follows from the vertex-level ones.
 
-A passing certificate is an UPPER bound witness; failure of the search to
-find one never means the distance is infinite.
+A passing certificate is an UPPER bound witness.  The search finds none
+when the mod-2 Betti numbers of X and Y differ, and the distance is then
+infinite; any other failure means only that no certificate exists within
+the chain budget.
 """
 
 from __future__ import annotations
@@ -452,9 +454,15 @@ def search_certificate(
     (phi, psi) among minimizers; (inf, None) when no round trip reaches the
     identity within the chain budget.
 
+    A certificate makes X and Y homotopy equivalent, so when their mod-2
+    Betti numbers differ no certificate exists, and (inf, None) is returned
+    before any map is enumerated.
+
     The pairs come from a join, not the full product: a reachable round
     trip psi.phi fixes psi on image(phi), so the candidates for psi are
-    looked up by their restriction to that set.
+    looked up by their restriction to that set.  Both sides are scanned in
+    order of their shift, so the join stops once a shift passes the best
+    eps found so far.
 
     The witness is run through check_certificate before it is returned; a
     failure there is a bug in the search and raises AssertionError.
@@ -468,6 +476,13 @@ def search_certificate(
         raise SizeGuardExceeded(
             f"certificate search limited to {SEARCH_VERTEX_GUARD} vertices per side"
         )
+    top = max(X.dim, Y.dim, 0)
+    betti_x, betti_y = (
+        [d.infinite_count() for d in compute_diagrams(lower_star(K, h), top)]
+        for K, h in ((X, f), (Y, g))
+    )
+    if betti_x != betti_y:
+        return math.inf, None
     maps_xy = enumerate_simplicial_maps(X, Y)
     maps_yx = enumerate_simplicial_maps(Y, X)
     if not maps_xy or not maps_yx:
@@ -493,6 +508,10 @@ def search_certificate(
     (outer, shift_o, reach_o, control_o), (inner, shift_i, reach_i, control_i) = (
         sides[::-1] if flip else sides
     )
+    # Both sides in shift order: the image groups come in order of their
+    # least shift, and every restriction bucket is in shift order too.
+    outer = sorted(outer, key=shift_o.__getitem__)
+    inner = sorted(inner, key=shift_i.__getitem__)
     by_image: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for a in outer:
         by_image.setdefault(tuple(sorted(set(a))), []).append(a)
@@ -500,14 +519,17 @@ def search_certificate(
 
     # A pair's eps is the max of its two shifts and its two control eps, so
     # the skips below drop only pairs whose eps is above the best so far;
-    # ties fall through to the (phi, psi) order.
+    # ties fall through to the (phi, psi) order.  The bound only falls, so
+    # each break also drops everything after it in shift order.
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     bound = math.inf
     for image, group in by_image.items():
+        if shift_o[group[0]] > bound:
+            break
         by_restriction: dict[tuple[int, ...], list[tuple[int, ...]]] | None = None
         for a in group:
             if shift_o[a] > bound:
-                continue
+                break
             slots = tuple(map(image.index, a))
             if slots not in pinned:
                 pinned[slots] = _factor_through(slots, reach_o)
@@ -517,6 +539,8 @@ def search_certificate(
             if by_restriction is None:
                 by_restriction = {}
                 for b in inner:
+                    if shift_i[b] > bound:
+                        break
                     by_restriction.setdefault(tuple(map(b.__getitem__, image)), []).append(b)
             for h_o in trips:
                 partners = by_restriction.get(tuple(map(h_o.__getitem__, section)))
@@ -527,7 +551,7 @@ def search_certificate(
                     continue
                 for b in partners:
                     if shift_i[b] > bound:
-                        continue
+                        break
                     h_i = tuple(map(a.__getitem__, b))
                     if h_i not in reach_i:
                         continue

@@ -61,6 +61,14 @@ def random_connected_complex(
     return build_complex(simplices, vertex_count=n, max_dim=2)
 
 
+def coned(rng: random.Random, K: SimplicialComplex) -> SimplicialComplex:
+    """K with a new vertex coned onto one of its simplices: the same homotopy
+    type, so round trips that reach the identity exist."""
+    n = K.vertex_count
+    base = rng.choice(sorted(K.simplices))
+    return build_complex([*K.simplices, (*base, n)], vertex_count=n + 1)
+
+
 def random_complex(
     rng: random.Random, max_vertices: int = 20, edge_rate: float = 0.8
 ) -> SimplicialComplex:

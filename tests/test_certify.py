@@ -35,8 +35,10 @@ from topodist.complexes import (
     identity_map,
     lower_star,
 )
+from topodist.persistence import compute_diagrams
 
 from gen import (
+    coned,
     random_complex,
     random_connected_complex,
     random_vertex_function,
@@ -144,6 +146,30 @@ def test_search_no_homotopy_equivalence():
         circle, VertexFunction((0.0, 0.0, 0.0)), point, VertexFunction((0.0,))
     )
     assert math.isinf(eps) and cert is None
+
+
+def test_search_skips_enumeration_when_betti_numbers_differ(monkeypatch):
+    def refuse(src, dst):
+        raise AssertionError("maps enumerated between complexes of different homology")
+
+    monkeypatch.setattr(topodist.certify, "enumerate_simplicial_maps", refuse)
+    point = build_complex([[0]])
+    circle = build_complex([[0, 1], [1, 2], [0, 2]])
+    sphere = build_complex(itertools.combinations(range(4), 3))  # only b2 differs from a point
+    disk = build_complex([[0, 1, 2]])
+    for X, Y in ((circle, point), (sphere, point), (circle, disk)):
+        f = VertexFunction((0.25,) * X.vertex_count)
+        g = VertexFunction((0.5,) * Y.vertex_count)
+        assert search_certificate(X, f, Y, g) == (math.inf, None)
+        assert search_certificate(Y, g, X, f) == (math.inf, None)
+
+
+def test_search_vertex_guard_comes_before_the_homology_precheck():
+    # an 8-cycle and a point differ in b1, but the pair is above the guard
+    cycle = build_complex([[i, (i + 1) % 8] for i in range(8)])
+    point = build_complex([[0]])
+    with pytest.raises(SizeGuardExceeded):
+        search_certificate(cycle, VertexFunction((0.0,) * 8), point, VertexFunction((0.0,)))
 
 
 def test_search_bounded_by_linf_on_same_domain():
@@ -341,16 +367,18 @@ def flat_function(rng, n):
     return VertexFunction((0.5,) * n)
 
 
-def coned(rng, K):
-    """K with a new vertex coned onto one of its simplices: the same homotopy
-    type, so round trips that reach the identity exist."""
-    n = K.vertex_count
-    base = rng.choice(sorted(K.simplices))
-    return build_complex([*K.simplices, (*base, n)], vertex_count=n + 1)
+def betti_numbers(K, top):
+    """K's mod-2 Betti numbers in degrees 0..top: the essential classes of
+    any filtration of K."""
+    flat = VertexFunction((0.0,) * K.vertex_count)
+    return [d.infinite_count() for d in compute_diagrams(lower_star(K, flat), top)]
 
 
 def test_search_matches_product_oracle():
+    # The oracle has no homology precheck, so pairs whose Betti numbers
+    # differ check the search's "inf" against exhaustion.
     rng = random.Random(31)
+    same_homology = set()
     for i in range(48):
         if i % 2:
             X = random_connected_complex(rng, min_vertices=2, max_vertices=3)
@@ -359,6 +387,8 @@ def test_search_matches_product_oracle():
             X, Y = random_complex(rng, max_vertices=4), random_complex(rng, max_vertices=4)
         function = (random_vertex_function, tied_vertex_function, flat_function)[i // 2 % 3]
         pair = (X, function(rng, X.vertex_count), Y, function(rng, Y.vertex_count))
+        top = max(X.dim, Y.dim, 0)
+        same_homology.add(betti_numbers(X, top) == betti_numbers(Y, top))
         for j, budget in enumerate((1, 2, 4)):
             factor = (1.0, 2.0, 3.0)[(i + j) % 3]
             eps, cert = search_certificate(*pair, max_chain_len=budget, control_factor=factor)
@@ -366,6 +396,7 @@ def test_search_matches_product_oracle():
             assert eps == ref_eps
             text = format_certificate(cert) if cert else None
             assert text == (format_certificate(ref_cert) if ref_cert else None)
+    assert same_homology == {True, False}
 
 
 def test_certificates_reject_functions_of_the_wrong_length():
