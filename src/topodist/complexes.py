@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
+from operator import add, eq
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -95,12 +96,52 @@ def build_complex(
     With ``vertex_count`` given, vertices not mentioned in any simplex become
     isolated points; otherwise the count is inferred as 1 + max index and a
     vertex index gap is an error (it almost always indicates a typo).
+
+    The input is materialised once and validated in batched passes; when a
+    pass fails, the simplices are checked again one at a time in input
+    order, so the error names the first invalid one.  Faces are then closed
+    top-down, one dimension at a time.
     """
     if vertex_count is not None and vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
-    closed: set[Simplex] = set()
-    top = -1
-    for raw in simplex_list:
+    rows = list(simplex_list)
+    sizes = list(map(len, rows))
+    if rows and not (
+        all(sizes)
+        and min(map(min, rows)) >= 0
+        and list(map(len, map(set, rows))) == sizes
+        and max(sizes) - 1 <= max_dim
+    ):
+        _raise_first_invalid(rows, max_dim)
+    simplices = list(map(tuple, map(sorted, rows)))
+    # levels[k - 1] holds the simplices of size k
+    levels = [
+        set(compress(simplices, map(eq, sizes, repeat(k))))
+        for k in range(1, max(sizes, default=1) + 1)
+    ]
+    for k in range(len(levels), 1, -1):
+        levels[k - 2].update(
+            chain.from_iterable(map(combinations, levels[k - 1], repeat(k - 1)))
+        )
+    vertices = levels[0]
+    top = max(vertices, default=(-1,))[0]
+    if vertex_count is not None:
+        if top >= vertex_count:
+            raise ValueError("simplex vertex index exceeds the declared count")
+        vertices.update(zip(range(vertex_count)))
+    elif len(vertices) != top + 1:
+        gap = next(v for v in range(top + 1) if (v,) not in vertices)
+        raise ValueError(f"vertex index gap: {gap} appears in no simplex")
+    return _trusted(
+        SimplicialComplex,
+        vertex_count=len(vertices),
+        simplices=frozenset().union(*levels),
+    )
+
+
+def _raise_first_invalid(rows: list[Sequence[int]], max_dim: int) -> None:
+    """Raise ValueError naming the first simplex of ``rows`` that fails a check."""
+    for raw in rows:
         verts = list(raw)
         if not verts:
             raise ValueError("empty simplex in input")
@@ -109,23 +150,7 @@ def build_complex(
         if len(set(verts)) != len(verts):
             raise ValueError(f"repeated vertex inside simplex {verts}")
         if len(verts) - 1 > max_dim:
-            raise ValueError(
-                f"simplex {verts} exceeds the dimension cap {max_dim}"
-            )
-        s = tuple(sorted(verts))
-        top = max(top, s[-1])
-        for k in range(1, len(s) + 1):
-            closed.update(combinations(s, k))
-    n = vertex_count if vertex_count is not None else top + 1
-    if vertex_count is not None:
-        if top >= vertex_count:
-            raise ValueError("simplex vertex index exceeds the declared count")
-        closed.update((v,) for v in range(n))
-    else:
-        for v in range(n):
-            if (v,) not in closed:
-                raise ValueError(f"vertex index gap: {v} appears in no simplex")
-    return _trusted(SimplicialComplex, vertex_count=n, simplices=frozenset(closed))
+            raise ValueError(f"simplex {verts} exceeds the dimension cap {max_dim}")
 
 
 @dataclass(frozen=True)
@@ -135,10 +160,9 @@ class VertexFunction:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            if math.isnan(v) or math.isinf(v):
-                raise ValueError("vertex values must be finite")
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("vertex values must be finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -166,7 +190,8 @@ class FilteredComplex:
     """A complex with a monotone real value per simplex.
 
     Treated as immutable after construction; all operations on it are pure,
-    and ``order`` is cached on first use.  The constructor validates;
+    and ``order`` and the arrays aligned with it (``values``, ``edges``) are
+    cached on first use.  The constructor validates;
     lower_star returns trusted instances.
     """
 
@@ -196,15 +221,28 @@ class FilteredComplex:
         order.sort(key=self.filtration.__getitem__)
         return tuple(order)
 
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        """The filtration values aligned with ``order``, position by position."""
+        return tuple(map(self.filtration.__getitem__, self.order))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[float, int, int], ...]:
+        """``(value, u, v)`` for every edge ``(u, v)``, in ``order``."""
+        is_edge = list(map(eq, map(len, self.order), repeat(2)))
+        # (value,) + (u, v)
+        return tuple(
+            map(add, zip(compress(self.values, is_edge)), compress(self.order, is_edge))
+        )
+
 
 def lower_star(complex: SimplicialComplex, f: VertexFunction) -> FilteredComplex:
     """Lower-star filtration: every simplex enters at the max of its vertices."""
     _require_fits(complex, f)
-    values = f.values
+    simplices = complex.simplices
+    values = map(max, map(map, repeat(f.values.__getitem__), simplices))
     return _trusted(
-        FilteredComplex,
-        complex=complex,
-        filtration={s: max(map(values.__getitem__, s)) for s in complex.simplices},
+        FilteredComplex, complex=complex, filtration=dict(zip(simplices, values))
     )
 
 

@@ -114,16 +114,16 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
         children[node] = kids
         return node
 
-    comp_node = [new_node(fc.filtration[(v,)], []) for v in range(n)]
+    comp_node = [new_node(h, []) for h in map(fc.filtration.__getitem__, zip(range(n)))]
     uf = _UnionFind(n)
 
     def discard(node: int) -> None:
         del heights[node]
         del children[node]
 
-    for u, v in (e for e in fc.order if len(e) == 2):
-        t = fc.filtration[(u, v)]
-        ru, rv = uf.find(u), uf.find(v)
+    find = uf.find
+    for t, u, v in fc.edges:
+        ru, rv = find(u), find(v)
         if ru == rv:
             continue
         a, b = comp_node[ru], comp_node[rv]

@@ -11,13 +11,21 @@ recomputes the degree-0 diagram by an independent union-find sweep with the
 elder rule; the two must agree as multisets on every input, which the test
 suite enforces.  The order is the one FilteredComplex caches, which the
 union-find sweep and the merge tree read as well.
+
+Per dimension, the boundaries of the columns that clearing leaves are
+formed in one iterator pipeline and each column's first low is read off
+them; most pairs are apparent (the first low is not yet a pivot) and cost
+one dict probe, and only the rest build a set and add columns.  Births and
+deaths are read from FilteredComplex.values by position, and the union-find
+sweep walks FilteredComplex.edges; only vertex births are looked up in the
+filtration dict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, filterfalse, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -64,7 +72,7 @@ def reduce_filtration(
     ``max_dim``.  ``pairs`` holds (birth index, death index) positions into
     ``order``, in increasing death index; ``essential`` the positions of
     unpaired creators, in increasing order.  Every simplex lands in exactly
-    one of birth / death / essential.  Columns are kept as integer sets,
+    one of birth / death / essential.  A column holds facet positions,
     addition is symmetric difference, the pivot of a column is its max.
 
     Dimensions are reduced from the highest down, each in filtration order.
@@ -73,41 +81,58 @@ def reduce_filtration(
     building its boundary.  Columns only ever absorb columns of their own
     dimension, and the pairs of a fixed total order are unique, so the result
     equals that of the plain left-to-right reduction.
+
+    The boundaries of a dimension's uncleared columns are formed in one
+    iterator pipeline, as tuples of facet positions, and a column's
+    unreduced low is the max of its tuple.  Most columns pair at that first
+    low (apparent pairs), which costs one dict probe.  Only a column whose
+    low is already a pivot copies its tuple into a set and adds columns to
+    it; its entry in ``column`` then becomes that reduced set.  A pivot
+    column that never received additions is added as its boundary tuple.
     """
-    order = (
-        list(fc.order)
-        if max_dim is None
-        else [s for s in fc.order if len(s) <= max_dim + 1]
-    )
-    face_index = {s: i for i, s in enumerate(order)}.__getitem__
-    by_dim: list[list[int]] = [[] for _ in range(max(map(len, order), default=0))]
-    for j, s in enumerate(order):
-        by_dim[len(s) - 1].append(j)
-    reduced: dict[int, set[int]] = {}
+    order = list(fc.order)
+    sizes = list(map(len, order))
+    if max_dim is not None and max(sizes, default=0) > max_dim + 1:
+        order = [s for s, size in zip(order, sizes) if size <= max_dim + 1]
+        sizes = list(map(len, order))
+    n = len(order)
+    face_index = dict(zip(order, range(n))).__getitem__
+    # positions grouped by simplex size, each group in filtration order
+    by_size = sorted(range(n), key=sizes.__getitem__)
     pivot_of: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for columns in reversed(by_dim[1:]):
-        for j in columns:
-            if j in pivot_of:
-                continue
-            s = order[j]
-            # the facets of a sorted tuple, each again sorted
-            col = set(map(face_index, combinations(s, len(s) - 1)))
-            while col:
-                low = max(col)
-                k = pivot_of.get(low)
-                if k is None:
-                    break
-                col ^= reduced[k]
-            if col:
+    # uncleared columns that reduce to zero: no higher column pivots on them
+    # (that dimension is done), so each is an essential class
+    essential: list[int] = []
+    end = n
+    for k in range(max(sizes, default=0), 1, -1):
+        start = end - sizes.count(k)
+        columns = list(filterfalse(pivot_of.__contains__, by_size[start:end]))
+        end = start
+        # the facets of a sorted tuple, each again sorted
+        simplices = map(order.__getitem__, columns)
+        faces = map(face_index, chain.from_iterable(map(combinations, simplices, repeat(k - 1))))
+        boundaries = list(zip(*[faces] * k))
+        column: dict[int, tuple[int, ...] | set[int]] = dict(zip(columns, boundaries))
+        for j, low in zip(columns, map(max, boundaries)):
+            other = pivot_of.get(low)
+            if other is None:
                 pivot_of[low] = j
-                reduced[j] = col
-                pairs.append((low, j))
-    pairs.sort(key=itemgetter(1))
-    essential = [
-        i for i in range(len(order)) if i not in pivot_of and i not in reduced
-    ]
-    return order, pairs, essential
+                continue
+            col = set(column[j])
+            while other is not None:
+                col.symmetric_difference_update(column[other])
+                if not col:
+                    essential.append(j)
+                    break
+                low = max(col)
+                other = pivot_of.get(low)
+            else:
+                pivot_of[low] = j
+                column[j] = col
+    # by_size[:end] are the vertices; those no edge pivots on are essential
+    essential.extend(filterfalse(pivot_of.__contains__, by_size[:end]))
+    essential.sort()
+    return order, sorted(pivot_of.items(), key=itemgetter(1)), essential
 
 
 def compute_diagrams(fc: FilteredComplex, max_degree: int) -> list[PersistenceDiagram]:
@@ -115,22 +140,25 @@ def compute_diagrams(fc: FilteredComplex, max_degree: int) -> list[PersistenceDi
 
     Only simplices of dimension <= max_degree + 1 enter the reduction: columns
     are only ever added within one dimension, so higher simplices cannot
-    change any pairing at or below the requested degree.
+    change any pairing at or below the requested degree.  Values are read
+    from ``fc.values`` by position.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     order, pairs, essential = reduce_filtration(fc, max_dim=max_degree + 1)
-    points: list[list[tuple[float, float]]] = [[] for _ in range(max_degree + 1)]
+    values = (
+        fc.values
+        if len(order) == len(fc.order)
+        else [t for s, t in zip(fc.order, fc.values) if len(s) <= max_degree + 2]
+    )
+    # one slot more: essential classes of degree max_degree + 1 land there unreported
+    points: list[list[tuple[float, float]]] = [[] for _ in range(max_degree + 2)]
     for i, j in pairs:
-        birth = fc.filtration[order[i]]
-        death = fc.filtration[order[j]]
-        degree = len(order[i]) - 1
-        if birth != death and degree <= max_degree:
-            points[degree].append((birth, death))
+        birth, death = values[i], values[j]
+        if birth != death:
+            points[len(order[i]) - 1].append((birth, death))
     for i in essential:
-        degree = len(order[i]) - 1
-        if degree <= max_degree:
-            points[degree].append((fc.filtration[order[i]], math.inf))
+        points[len(order[i]) - 1].append((values[i], math.inf))
     return [PersistenceDiagram(k, tuple(points[k])) for k in range(max_degree + 1)]
 
 
@@ -139,11 +167,12 @@ class _UnionFind:
         self.parent = list(range(n))
 
     def find(self, i: int) -> int:
+        parent = self.parent
         root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:  # path compression
+            parent[i], i = root, parent[i]
         return root
 
 
@@ -157,11 +186,11 @@ def h0_diagram_unionfind(fc: FilteredComplex) -> PersistenceDiagram:
     """
     n = fc.complex.vertex_count
     uf = _UnionFind(n)
-    birth = [fc.filtration[(v,)] for v in range(n)]
+    birth = list(map(fc.filtration.__getitem__, zip(range(n))))
     points: list[tuple[float, float]] = []
-    for u, v in (e for e in fc.order if len(e) == 2):
-        t = fc.filtration[(u, v)]
-        ru, rv = uf.find(u), uf.find(v)
+    find = uf.find
+    for t, u, v in fc.edges:
+        ru, rv = find(u), find(v)
         if ru == rv:
             continue
         if birth[ru] < birth[rv] or (birth[ru] == birth[rv] and ru < rv):
@@ -171,7 +200,7 @@ def h0_diagram_unionfind(fc: FilteredComplex) -> PersistenceDiagram:
         if birth[younger] < t:
             points.append((birth[younger], t))
         uf.parent[younger] = elder
-    roots = {uf.find(v) for v in range(n)}
+    roots = set(map(find, range(n)))
     points.extend((birth[r], math.inf) for r in roots)
     return PersistenceDiagram(0, tuple(points))
 

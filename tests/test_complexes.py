@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -63,6 +64,56 @@ def test_build_complex_rejects_repeated_vertex():
 def test_build_complex_rejects_index_gap():
     with pytest.raises(ValueError, match="gap"):
         build_complex([[0, 2]])
+
+
+def test_build_complex_rejects_negative_vertex():
+    with pytest.raises(ValueError, match=r"^negative vertex index in \[0, -1\]$"):
+        build_complex([[0, 1], [0, -1]])
+    # the message names the simplex as a list, whatever sequence type came in
+    with pytest.raises(ValueError, match=r"^negative vertex index in \[-2\]$"):
+        build_complex([(-2,)], vertex_count=3)
+
+
+def test_build_complex_rejects_empty_simplex():
+    with pytest.raises(ValueError, match="^empty simplex in input$"):
+        build_complex([[0, 1], []])
+
+
+def test_build_complex_rejects_index_above_declared_count():
+    with pytest.raises(
+        ValueError, match="^simplex vertex index exceeds the declared count$"
+    ):
+        build_complex([[0, 1], [1, 3]], vertex_count=3)
+    build_complex([[0, 1], [1, 3]], vertex_count=4)
+
+
+def test_build_complex_names_the_first_invalid_simplex():
+    """Simplices are checked in input order, each check in turn, so the
+    first simplex that fails any check is the one named."""
+    with pytest.raises(ValueError, match=r"^negative vertex index in \[0, -1\]$"):
+        build_complex([[0, -1], [0, 0]])
+    with pytest.raises(ValueError, match=r"^repeated vertex inside simplex \[0, 0\]$"):
+        build_complex([[0, 0], [0, -1]])
+    with pytest.raises(ValueError, match=r"^simplex \[0, 1, 2, 3\] exceeds the dimension cap 2$"):
+        build_complex([[0, 1], [0, 1, 2, 3], []], max_dim=2)
+    # the vertex list is shown in input order, not sorted
+    with pytest.raises(ValueError, match=r"^repeated vertex inside simplex \[2, 0, 2\]$"):
+        build_complex([[1, 0], [2, 0, 2]])
+
+
+def test_build_complex_consumes_a_generator_once():
+    pulled = []
+
+    def simplices(rows):
+        for row in rows:
+            pulled.append(row)
+            yield row
+
+    rows = [[0, 1], [1, 2, 3]]
+    assert build_complex(simplices(rows)) == build_complex(rows)
+    assert pulled == rows
+    with pytest.raises(ValueError, match=r"^repeated vertex inside simplex \[1, 1\]$"):
+        build_complex(simplices([[0, 1], [1, 1]]))
 
 
 def test_negative_vertex_count_rejected():
@@ -335,6 +386,20 @@ def test_parse_instance_reports_line_numbers():
 
     with pytest.raises(ParseError):
         parse_instance("")
+
+
+def test_parse_instance_huge_vertex_count_fails_without_allocating():
+    """The header count is checked against the value lines as they are read,
+    so an absurd ``n`` fails at the end of input before anything of that
+    size is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="expected 1000000000000 vertex values, got 1"):
+            parse_instance("n 1000000000000\n0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_instance_comments_and_closure():

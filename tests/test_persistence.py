@@ -4,6 +4,7 @@ import random
 import pytest
 
 from topodist.complexes import FilteredComplex, VertexFunction, build_complex, lower_star
+from topodist.mergetree import build_merge_tree, diagram_from_tree
 from topodist.persistence import (
     PersistenceDiagram,
     compute_diagrams,
@@ -20,6 +21,7 @@ from gen import (
     random_complex,
     random_complex_3d,
     random_filtered,
+    random_connected_complex,
     random_monotone_filtered,
     tied_filtered,
 )
@@ -282,3 +284,65 @@ def test_tsv_lines_sorted():
         k, b, d = line.split("\t")
         keys.append((int(k), float(b), float(d)))
     assert keys == sorted(keys)
+
+
+def _left_to_right_recording(fc):
+    """``reference_reduction`` with a record: the dimensions in which some
+    column adds a pivot column that received no additions itself, that is
+    a column still equal to its boundary."""
+    order = sorted(fc.complex.simplices, key=lambda s: (fc.filtration[s], len(s), s))
+    index = {s: i for i, s in enumerate(order)}
+    boundary = {}
+    reduced = {}
+    pivot_of = {}
+    pairs = []
+    unreduced_added = set()
+    for j, s in enumerate(order):
+        if len(s) == 1:
+            continue
+        col = boundary[j] = {index[s[:k] + s[k + 1 :]] for k in range(len(s))}
+        while col and max(col) in pivot_of:
+            other = pivot_of[max(col)]
+            if reduced[other] == boundary[other]:
+                unreduced_added.add(len(s) - 1)
+            col = col ^ reduced[other]
+        if col:
+            pivot_of[max(col)] = j
+            reduced[j] = col
+            pairs.append((max(col), j))
+    paired = {i for p in pairs for i in p}
+    essential = [i for i in range(len(order)) if i not in paired]
+    return (order, pairs, essential), unreduced_added
+
+
+@pytest.mark.parametrize("values", [tied_filtered, random_monotone_filtered])
+def test_reduction_adds_unreduced_pivot_columns_in_every_dimension(values):
+    """On a 6x6x6 Freudenthal block, columns of dimensions 1, 2 and 3 add
+    pivot columns that are still their own boundary, and the reduction
+    matches the left-to-right oracle there."""
+    rng = random.Random(606)
+    fc = values(rng, freudenthal_block(6))
+    expected, unreduced_added = _left_to_right_recording(fc)
+    assert unreduced_added == {1, 2, 3}
+    assert reduce_filtration(fc) == expected == reference_reduction(fc)
+
+
+@pytest.mark.parametrize("values", [tied_filtered, random_monotone_filtered])
+def test_cached_position_arrays(values):
+    """``values`` and ``edges`` are read by position along ``order``."""
+    rng = random.Random(607)
+    for K in (freudenthal_block(6), random_complex(rng), random_complex_3d(rng)):
+        fc = values(rng, K)
+        assert fc.values == tuple(fc.filtration[s] for s in fc.order)
+        assert fc.edges == tuple(
+            (fc.filtration[s], *s) for s in fc.order if len(s) == 2
+        )
+
+
+def test_tree_readout_matches_unionfind_on_monotone_filtrations():
+    rng = random.Random(608)
+    blocks = [freudenthal_block(side) for side in (2, 4, 6)]
+    complexes = blocks + [random_connected_complex(rng, max_vertices=16) for _ in range(30)]
+    for K in complexes:
+        fc = random_monotone_filtered(rng, K)
+        assert diagram_from_tree(build_merge_tree(fc)) == h0_diagram_unionfind(fc)
