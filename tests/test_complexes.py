@@ -388,6 +388,51 @@ def test_parse_instance_reports_line_numbers():
         parse_instance("")
 
 
+PARSE_ERRORS = [
+    # each text is clean apart from its one fault
+    pytest.param("", 1, "empty file; expected `n <vertex_count>`", id="empty"),
+    pytest.param("m 2\n0\n1\n", 1, "expected header `n <vertex_count>`", id="bad-tag"),
+    pytest.param("n 2 3\n0\n1\n", 1, "expected header `n <vertex_count>`", id="long-header"),
+    pytest.param("n two\n0\n1\n", 1, "expected an integer, got 'two'", id="bad-count"),
+    pytest.param("n -1\n", 1, "vertex count must be non-negative", id="negative-count"),
+    pytest.param("n 3\n0\n1\n", 3, "expected 3 vertex values, got 2", id="missing-values"),
+    pytest.param("n 2\n0\n1 2\ns 0 1\n", 3, "expected one vertex value per line",
+                 id="two-values"),
+    pytest.param("n 2\n0\nhalf\ns 0 1\n", 3, "expected a number, got 'half'", id="bad-value"),
+    pytest.param("n 2\n0\n1\ns 0 1\nt 0 1\n", 5, "expected `s v0 v1 ...`, got 't'",
+                 id="not-s"),
+    pytest.param("n 2\n0\n1\n2\ns 0 1\n", 4, "expected `s v0 v1 ...`, got '2'",
+                 id="extra-value"),
+    pytest.param("n 2\n0\n1\ns 0 1\ns\n", 5, "empty simplex", id="empty-simplex"),
+    pytest.param("n 2\n0\n1\ns 0 1.5\n", 4, "expected an integer, got '1.5'", id="bad-vertex"),
+    pytest.param("n 3\n0\n1\n2\ns 0 1 2\ns 2 0 2\n", 6, "repeated vertex inside a simplex",
+                 id="repeated"),
+    pytest.param("n 3\n0\n1\n2\ns 0 1\ns 1 3\n", 6, "vertex index out of range",
+                 id="above-range"),
+    pytest.param("n 3\n0\n1\n2\ns 0 1\ns -1 2\n", 6, "vertex index out of range",
+                 id="negative-vertex"),
+    pytest.param("n 5\n0\n1\n2\n3\n4\ns 0 1\ns 0 1 2 3 4\n", 8,
+                 "simplex exceeds dimension cap 3", id="dimension-cap"),
+    # the first fault in line order is the one named
+    pytest.param("n 3\n0\n1\n2\ns 0 0\ns 0 5\n", 5, "repeated vertex inside a simplex",
+                 id="repeat-then-range"),
+    pytest.param("n 3\n0\n1\n2\ns 0 5\ns 0 0\n", 5, "vertex index out of range",
+                 id="range-then-repeat"),
+    pytest.param("n 3\n0\n1\n2\ns 1 0\ns 2 x\ns 1 1\n", 6, "expected an integer, got 'x'",
+                 id="token-then-repeat"),
+    # comments, blank lines and CRLF count as lines
+    pytest.param("# header next\n\nn 2\r\n0\r\n1 # one\r\n\r\ns 0 1\r\ns 1 1\r\n", 8,
+                 "repeated vertex inside a simplex", id="messy"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_ERRORS)
+def test_parse_instance_errors(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text, source="in.txt")
+    assert (err.value.source, err.value.line, err.value.message) == ("in.txt", line, message)
+
+
 def test_parse_instance_huge_vertex_count_fails_without_allocating():
     """The header count is checked against the value lines as they are read,
     so an absurd ``n`` fails at the end of input before anything of that
