@@ -485,8 +485,6 @@ def search_certificate(
         return math.inf, None
     maps_xy = enumerate_simplicial_maps(X, Y)
     maps_yx = enumerate_simplicial_maps(Y, X)
-    if not maps_xy or not maps_yx:
-        return math.inf, None
     reach_x = _chains_to_identity(X, max_chain_len - 1)
     reach_y = _chains_to_identity(Y, max_chain_len - 1)
     # up_xy[v][w]: the least eps with g(w) <= f(v) + eps, as the checker decides it

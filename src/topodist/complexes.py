@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, compress, repeat
-from operator import add, eq
+from itertools import combinations, compress, repeat
+from operator import add, eq, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -97,46 +97,59 @@ def build_complex(
     isolated points; otherwise the count is inferred as 1 + max index and a
     vertex index gap is an error (it almost always indicates a typo).
 
-    The input is materialised once and validated in batched passes; when a
-    pass fails, the simplices are checked again one at a time in input
-    order, so the error names the first invalid one.  Faces are then closed
-    top-down, one dimension at a time.
+    The input is materialised once and validated per row size, by passes
+    over the transposed columns: rows whose columns increase need neither
+    a sort nor a repeat check, and only a size whose rows do not all
+    increase is sorted row by row.  When a pass fails, the simplices are
+    checked again one at a time in input order, so the error names the
+    first invalid one.  Faces are then closed top-down, one dimension at a
+    time, by zipping all but one column of the level above.
     """
     if vertex_count is not None and vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
     rows = list(simplex_list)
     sizes = list(map(len, rows))
-    if rows and not (
-        all(sizes)
-        and min(map(min, rows)) >= 0
-        and list(map(len, map(set, rows))) == sizes
-        and max(sizes) - 1 <= max_dim
-    ):
+    if rows and not (min(sizes) and max(sizes) - 1 <= max_dim):
         _raise_first_invalid(rows, max_dim)
-    simplices = list(map(tuple, map(sorted, rows)))
-    # levels[k - 1] holds the simplices of size k
-    levels = [
-        set(compress(simplices, map(eq, sizes, repeat(k))))
-        for k in range(1, max(sizes, default=1) + 1)
-    ]
-    for k in range(len(levels), 1, -1):
-        levels[k - 2].update(
-            chain.from_iterable(map(combinations, levels[k - 1], repeat(k - 1)))
-        )
-    vertices = levels[0]
-    top = max(vertices, default=(-1,))[0]
-    if vertex_count is not None:
-        if top >= vertex_count:
-            raise ValueError("simplex vertex index exceeds the declared count")
-        vertices.update(zip(range(vertex_count)))
-    elif len(vertices) != top + 1:
-        gap = next(v for v in range(top + 1) if (v,) not in vertices)
-        raise ValueError(f"vertex index gap: {gap} appears in no simplex")
+    # levels[k - 1] holds the simplices of size k; the vertices are kept as
+    # ints in `used` and become 1-tuples last, each one once
+    levels: list[set[Simplex]] = [set() for _ in range(max(sizes, default=1))]
+    used: set[int] = set()
+    for k in set(sizes):
+        group = list(compress(rows, map(eq, sizes, repeat(k))))
+        cols = list(zip(*group))
+        if not _increasing(cols):
+            group = list(map(sorted, group))
+            cols = list(zip(*group))
+            if not _increasing(cols):  # a repeated vertex
+                _raise_first_invalid(rows, max_dim)
+        if min(cols[0]) < 0:
+            _raise_first_invalid(rows, max_dim)
+        levels[k - 1].update(map(tuple, group))
+        used.update(*cols)
+    for k in range(len(levels), 2, -1):
+        cols = list(zip(*levels[k - 1]))
+        for i in range(k):
+            levels[k - 2].update(zip(*cols[:i], *cols[i + 1 :]))
+    top = max(used, default=-1)
+    if vertex_count is None:
+        if len(used) != top + 1:
+            gap = next(v for v in range(top + 1) if v not in used)
+            raise ValueError(f"vertex index gap: {gap} appears in no simplex")
+        vertex_count = top + 1
+    elif top >= vertex_count:
+        raise ValueError("simplex vertex index exceeds the declared count")
+    levels[0] = set(zip(range(vertex_count)))
     return _trusted(
         SimplicialComplex,
-        vertex_count=len(vertices),
+        vertex_count=vertex_count,
         simplices=frozenset().union(*levels),
     )
+
+
+def _increasing(cols: list[tuple[int, ...]]) -> bool:
+    """True iff every row of the transposed ``cols`` is strictly increasing."""
+    return all(map(all, map(map, repeat(lt), cols, cols[1:])))
 
 
 def _raise_first_invalid(rows: list[Sequence[int]], max_dim: int) -> None:
@@ -377,6 +390,43 @@ def _sweep(images: Iterable[tuple[int, ...]], values: tuple[float, ...]) -> tupl
 def parse_instance(
     text: str, source: str = "<string>"
 ) -> tuple[SimplicialComplex, VertexFunction]:
+    """Parse an instance file's text in whole-file passes.
+
+    Text with a comment, a blank line or any fault is parsed again line by
+    line, which raises ParseError naming the first faulty line.
+    """
+    try:
+        return _parse_batched(text.splitlines())
+    except ValueError:
+        pass  # the line-by-line parser names the fault and its line
+    return _parse_lines(text, source)
+
+
+def _parse_batched(lines: list[str]) -> tuple[SimplicialComplex, VertexFunction]:
+    """parse_instance for text without comments or blank lines, in passes
+    over whole columns.  Raises ValueError, without saying why, on anything
+    _parse_lines would reject or read differently: every token must read as
+    the header's, a value, `s` or a vertex, so a `#` fails as a bad token."""
+    header, *body = lines
+    tag, count = header.split()
+    n = int(count)
+    # nothing sized by n before the value lines are counted
+    values = tuple(map(float, body[:n]))
+    rows = list(map(str.split, body[n:]))
+    sizes = list(map(len, rows))
+    if tag != "n" or len(values) != n or min(sizes, default=2) < 2:
+        raise ValueError
+    simplices: list[Simplex] = []
+    for k in set(sizes):
+        head, *cols = zip(*compress(rows, map(eq, sizes, repeat(k))))
+        if head.count("s") != len(head):
+            raise ValueError
+        simplices.extend(zip(*map(map, repeat(int), cols)))
+    # range, repeat and dimension cap: build_complex checks them by columns
+    return build_complex(simplices, vertex_count=n), VertexFunction(values)
+
+
+def _parse_lines(text: str, source: str) -> tuple[SimplicialComplex, VertexFunction]:
     lines = content_lines(text)
     try:
         lineno, tokens = next(lines)

@@ -185,6 +185,8 @@ def test_np_identity_and_swap():
     K = build_complex([[0, 1], [1, 2]])
     f = VertexFunction((0.0, 2.0, 1.0))
     assert natural_pseudo_upper(K, f, K, f) == 0.0
+    empty, none = build_complex([], vertex_count=0), VertexFunction(())
+    assert natural_pseudo_upper(empty, none, empty, none) == 0.0
     points = build_complex([[0], [1]])
     assert (
         natural_pseudo_upper(

@@ -108,6 +108,10 @@ def test_search_identity_pair_is_zero():
     eps, cert = search_certificate(K, f, K, f)
     assert eps == 0.0 and cert is not None
     assert check_certificate(K, f, K, f, cert).ok
+    # two empty complexes: the empty maps make a certificate
+    E, e = build_complex([], vertex_count=0), VertexFunction(())
+    eps, cert = search_certificate(E, e, E, e)
+    assert eps == 0.0 and check_certificate(E, e, E, e, cert).ok
 
 
 def test_search_two_points():
@@ -129,6 +133,8 @@ def test_search_respects_chain_budget():
     pair, _ = point_edge_setup()
     eps, cert = search_certificate(*pair, max_chain_len=1)
     assert math.isinf(eps) and cert is None
+    with pytest.raises(ValueError, match="^max_chain_len must be at least 1$"):
+        search_certificate(*pair, max_chain_len=0)
 
 
 def test_search_vertex_guard():
@@ -245,6 +251,10 @@ def test_enumerate_simplicial_maps_all_simplicial():
             assert check_simplicial(SimplicialMap(src, dst, img))
         assert len(images) == brute_force_map_count(src, dst)
         assert_bfs_matches_oracle(src)
+    # an empty source has the empty map; an empty target receives none
+    empty, point = build_complex([], vertex_count=0), build_complex([[0]])
+    assert enumerate_simplicial_maps(empty, point) == [()]
+    assert enumerate_simplicial_maps(point, empty) == []
     # hollow cycles, where the images of an edge under two maps can span a
     # missing triangle, so contiguity cuts the graph
     assert_bfs_matches_oracle(build_complex([[0, 1], [1, 2], [0, 2]]))

@@ -277,6 +277,14 @@ def test_dht_stability(capsys):
     assert lines[0].startswith("stability0\t1\t1\t0")
 
 
+def test_dht_stability_failing_certificate_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad_cert.txt"
+    bad.write_text(Path(PATH_CERT).read_text().replace("eps 1", "eps 0.5"), encoding="utf-8")
+    code, out, _ = run(capsys, ["dht", "stability", PATH_X, PATH_Y, str(bad)])
+    assert code == 1
+    assert out == "cert_ok\tfalse\nviolated\tshift_phi\n"
+
+
 def test_dht_probe(capsys):
     code, out, _ = run(
         capsys, ["dht", "probe", PATH_X, PATH_Y, PATH_CERT, "--delta", "0.25"]

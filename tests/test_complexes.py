@@ -23,6 +23,7 @@ from topodist.complexes import (
     lower_star,
     parse_instance,
 )
+from topodist.complexes import _parse_batched, _parse_lines
 
 from gen import (
     freudenthal_block,
@@ -267,6 +268,8 @@ def test_contiguity_chain_examples():
     points = build_complex([[0], [1]])
     swap = SimplicialMap(points, points, (1, 0))
     assert not check_contiguity_chain(ContiguityChain((identity_map(points), swap)))
+    # one map, so no contiguity pair: only the simplicial check can fail
+    assert not check_contiguity_chain(ContiguityChain((SimplicialMap(edge, points, (0, 1)),)))
 
 
 def test_contiguity_is_symmetric():
@@ -431,6 +434,50 @@ def test_parse_instance_errors(text, line, message):
     with pytest.raises(ParseError) as err:
         parse_instance(text, source="in.txt")
     assert (err.value.source, err.value.line, err.value.message) == ("in.txt", line, message)
+
+
+def _messy_instance(rng: random.Random, K: SimplicialComplex, f: VertexFunction,
+                    comments: bool) -> str:
+    """K and f as an instance file that format_instance would not write:
+    rows unsorted and shuffled, faces listed beside their facets, mixed
+    whitespace and line endings and, with ``comments``, comment and blank
+    lines."""
+    rows = [list(s) for s in K.facets if len(s) > 1]
+    rows += [list(s) for s in rng.sample(sorted(K.simplices), len(K.simplices) // 3)]
+    rng.shuffle(rows)
+    for row in rows:
+        rng.shuffle(row)
+
+    def join(tokens):
+        return "".join(t + rng.choice((" ", "\t", "  ")) for t in tokens).rstrip()
+
+    lines = [join(["n", str(K.vertex_count)])]
+    lines += [rng.choice(("", " ", "\t")) + repr(v) for v in f]
+    lines += [join(["s", *map(str, row)]) for row in rows]
+    if comments:
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(lines))
+            lines.insert(at, rng.choice(("", "# note", "   ", "\t# n 1")))
+        at = rng.randrange(len(lines))
+        lines[at] += " # trailing"
+    return "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+
+
+def test_parse_instance_paths_agree():
+    """Clean, messy and commented texts of one instance parse to it through
+    parse_instance and the line-by-line parser, and the first two through
+    the batched parser too."""
+    rng = random.Random(29)
+    for trial in range(60):
+        K = (random_complex_3d if trial % 2 else random_complex)(rng)
+        f = random_vertex_function(rng, K.vertex_count)
+        clean = format_instance(K, f)
+        messy, commented = (_messy_instance(rng, K, f, comments) for comments in (False, True))
+        for text in (clean, messy, commented):
+            assert parse_instance(text) == (K, f)
+            assert _parse_lines(text, "<string>") == (K, f)
+        for text in (clean, messy):
+            assert _parse_batched(text.splitlines()) == (K, f)
 
 
 def test_parse_instance_huge_vertex_count_fails_without_allocating():
