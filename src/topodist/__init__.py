@@ -74,7 +74,6 @@ from .persistence import (
     h0_diagram_unionfind,
     load_diagrams,
     parse_diagrams_tsv,
-    reduce_filtration,
     save_diagrams,
     shift_diagram,
 )

@@ -1,10 +1,9 @@
 """Finite simplicial complexes, scalar vertex data, filtrations, and simplicial maps.
 
 A complex stores the full set of its simplices, each a strictly increasing
-tuple of vertex indices, closed under taking faces.  A filtration assigns a
-monotone real value to every simplex; the lower-star extension of a vertex
-function (each simplex enters at the max of its vertices' values) is the
-standard way to build one from scalar data.
+tuple of vertex indices, closed under taking faces.  Every filtration in this
+package is the lower star of a vertex function: each simplex enters at the
+max of its vertices' values, so the filtration is monotone by construction.
 
 Simplicial maps are vertex maps whose induced simplex images stay inside the
 target complex.  Two such maps are *contiguous* when the union of their images
@@ -17,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, repeat
-from operator import add, eq, lt
+from itertools import combinations, compress, groupby, repeat
+from operator import eq, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -200,63 +199,51 @@ def _require_fits(complex: SimplicialComplex, f: VertexFunction) -> None:
 
 @dataclass
 class FilteredComplex:
-    """A complex with a monotone real value per simplex.
+    """The lower-star filtration of a vertex function: a simplex enters at
+    the max of its vertices' values, so the filtration is monotone by type.
 
-    Treated as immutable after construction; all operations on it are pure,
-    and ``order`` and the arrays aligned with it (``values``, ``edges``) are
-    cached on first use.  The constructor validates;
-    lower_star returns trusted instances.
+    It is read by levels: ``level(k)`` holds the simplices of size k in
+    (value, vertex tuple) order and their values, and ``edges`` is level 2
+    as ``(value, u, v)`` triples.  Both are cached on first use, so an
+    instance must not be mutated.  The constructor checks that ``function``
+    has one value per vertex of ``complex``.
     """
 
     complex: SimplicialComplex
-    filtration: dict[Simplex, float]
+    function: VertexFunction
 
     def __post_init__(self) -> None:
-        if set(self.filtration) != self.complex.simplices:
-            raise ValueError("filtration must assign a value to every simplex")
-        for s, val in self.filtration.items():
-            if math.isnan(val) or math.isinf(val):
-                raise ValueError("filtration values must be finite")
-            if len(s) > 1:
-                for facet in combinations(s, len(s) - 1):
-                    if self.filtration[facet] > val:
-                        raise ValueError(
-                            f"filtration not monotone: value({facet}) > value({s})"
-                        )
+        _require_fits(self.complex, self.function)
 
     @cached_property
-    def order(self) -> tuple[Simplex, ...]:
-        """Simplices by (value, dimension, vertex tuple), as three stable sorts.
+    def _levels(self) -> list[tuple[tuple[Simplex, ...], tuple[float, ...]]]:
+        """Level k at index k - 1, up to the top dimension (face closure
+        leaves no size out): per size, one lex sort, then one stable sort by
+        value."""
+        value = self.function.values.__getitem__
+        levels = []
+        for _, group in groupby(sorted(self.complex.simplices, key=len), len):
+            simplices = sorted(group)
+            values = list(map(max, map(map, repeat(value), simplices)))
+            by_value = sorted(range(len(values)), key=values.__getitem__)
+            levels.append(tuple(tuple(map(seq.__getitem__, by_value)) for seq in (simplices, values)))
+        return levels
 
-        Restricted to edges this is the order by (value, vertex tuple).
-        """
-        order = sorted(sorted(self.complex.simplices), key=len)
-        order.sort(key=self.filtration.__getitem__)
-        return tuple(order)
-
-    @cached_property
-    def values(self) -> tuple[float, ...]:
-        """The filtration values aligned with ``order``, position by position."""
-        return tuple(map(self.filtration.__getitem__, self.order))
+    def level(self, k: int) -> tuple[tuple[Simplex, ...], tuple[float, ...]]:
+        """The simplices of size k in (value, vertex tuple) order, and their
+        values by position; empty above the top dimension."""
+        return self._levels[k - 1] if k <= len(self._levels) else ((), ())
 
     @cached_property
     def edges(self) -> tuple[tuple[float, int, int], ...]:
-        """``(value, u, v)`` for every edge ``(u, v)``, in ``order``."""
-        is_edge = list(map(eq, map(len, self.order), repeat(2)))
-        # (value,) + (u, v)
-        return tuple(
-            map(add, zip(compress(self.values, is_edge)), compress(self.order, is_edge))
-        )
+        """``(value, u, v)`` for every edge ``(u, v)``, in level order."""
+        simplices, values = self.level(2)
+        return tuple(zip(values, *zip(*simplices)))
 
 
 def lower_star(complex: SimplicialComplex, f: VertexFunction) -> FilteredComplex:
     """Lower-star filtration: every simplex enters at the max of its vertices."""
-    _require_fits(complex, f)
-    simplices = complex.simplices
-    values = map(max, map(map, repeat(f.values.__getitem__), simplices))
-    return _trusted(
-        FilteredComplex, complex=complex, filtration=dict(zip(simplices, values))
-    )
+    return FilteredComplex(complex, f)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
     height merge nodes collapse into one.  The resulting tree realizes the
     degree-0 persistence pairing under the elder rule.
     """
-    n = fc.complex.vertex_count
+    n = len(fc.function)
     if n == 0:
         raise ValueError("cannot build a merge tree of an empty complex")
     heights: dict[int, float] = {}
@@ -114,7 +114,7 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
         children[node] = kids
         return node
 
-    comp_node = [new_node(h, []) for h in map(fc.filtration.__getitem__, zip(range(n)))]
+    comp_node = [new_node(h, []) for h in fc.function]
     uf = _UnionFind(n)
 
     def discard(node: int) -> None:

@@ -1,36 +1,39 @@
-"""Persistent homology of filtered complexes over the two-element field.
+"""Persistent homology of lower-star filtrations over the two-element field.
 
 compute_diagrams reduces the boundary matrix with clearing (Chen and Kerber,
-"Persistent homology computation with a twist", 2011), with simplices totally
-ordered by (filtration value, dimension, lexicographic vertex order).
-Dimensions are reduced from the top down, so a simplex that is already the
-pivot of a higher column is skipped: its own column would reduce to zero.
-For a fixed total order the persistence pairs are unique, so the output is
-exactly that of the standard left-to-right reduction.  h0_diagram_unionfind
-recomputes the degree-0 diagram by an independent union-find sweep with the
-elder rule; the two must agree as multisets on every input, which the test
-suite enforces.  The order is the one FilteredComplex caches, which the
-union-find sweep and the merge tree read as well.
+"Persistent homology computation with a twist", 2011), one level at a time:
+level k holds the simplices of size k in (value, vertex tuple) order, which
+is the global (value, dimension, vertex tuple) order restricted to that
+size.  A column of level k only ever meets rows of level k - 1 and columns
+of its own level, so its pairs are those of the global order.  Levels are
+reduced from the top down, so a simplex that is already the pivot of a
+higher column is skipped: its own column would reduce to zero.
 
-Per dimension, the boundaries of the columns that clearing leaves are
-formed in one iterator pipeline and each column's first low is read off
-them; most pairs are apparent (the first low is not yet a pivot) and cost
-one dict probe, and only the rest build a set and add columns.  Births and
-deaths are read from FilteredComplex.values by position, and the union-find
-sweep walks FilteredComplex.edges; only vertex births are looked up in the
-filtration dict.
+The first pivot of a column is read off two facets.  Let sigma = (v0 < v1
+< ...).  Its lex-largest facet is sigma minus v0, which has a lower value
+than sigma only when v0 is the unique strict maximum of f on sigma; then
+every other facet contains v0 and ties at f(v0), and the lex-largest of
+them is sigma minus v1.  So the pivot is whichever of those two facets
+comes later in its level: two position lookups, not one per facet.  Most
+pairs are apparent (that pivot is not yet taken); only the other columns
+build a boundary, as a set of facet positions, and add columns to it.
+
+h0_diagram_unionfind recomputes the degree-0 diagram by an independent
+union-find sweep with the elder rule over FilteredComplex.edges; the two
+must agree as multisets on every input, which the test suite enforces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse, repeat
+from itertools import combinations, filterfalse, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .common import ParseError, content_lines, fmt_value, parse_int, parse_value
-from .complexes import FilteredComplex, Simplex
+from .complexes import FilteredComplex, Simplex, SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -63,103 +66,113 @@ class PersistenceDiagram:
         return sum(1 for _, d in self.points if math.isinf(d))
 
 
-def reduce_filtration(
-    fc: FilteredComplex, max_dim: int | None = None
-) -> tuple[list[Simplex], list[tuple[int, int]], list[int]]:
-    """Column-reduce the boundary matrix; return (order, pairs, essential).
+Level = tuple[Sequence[Simplex], Sequence[float]]
 
-    ``order`` is a fresh list, ``fc.order`` restricted to dimensions up to
-    ``max_dim``.  ``pairs`` holds (birth index, death index) positions into
-    ``order``, in increasing death index; ``essential`` the positions of
-    unpaired creators, in increasing order.  Every simplex lands in exactly
-    one of birth / death / essential.  A column holds facet positions,
-    addition is symmetric difference, the pivot of a column is its max.
 
-    Dimensions are reduced from the highest down, each in filtration order.
-    A column whose simplex is already a pivot (a birth paired by a column one
-    dimension up) would reduce to zero, so it is cleared: skipped without
-    building its boundary.  Columns only ever absorb columns of their own
-    dimension, and the pairs of a fixed total order are unique, so the result
-    equals that of the plain left-to-right reduction.
+def _two_facet_lows(simplices: list[Simplex], index, k: int) -> Iterable[int]:
+    """The first pivot of each size-k lower-star column: the later of sigma
+    minus v0 and sigma minus v1 in their level (see the module docstring)."""
+    drop0 = itemgetter(slice(1, None))
+    drop1 = itemgetter(0, *range(2, k)) if k > 2 else itemgetter(slice(1))
+    return map(max, map(index, map(drop0, simplices)), map(index, map(drop1, simplices)))
 
-    The boundaries of a dimension's uncleared columns are formed in one
-    iterator pipeline, as tuples of facet positions, and a column's
-    unreduced low is the max of its tuple.  Most columns pair at that first
-    low (apparent pairs), which costs one dict probe.  Only a column whose
-    low is already a pivot copies its tuple into a set and adds columns to
-    it; its entry in ``column`` then becomes that reduced set.  A pivot
-    column that never received additions is added as its boundary tuple.
+
+def _all_facet_lows(simplices: list[Simplex], index, k: int) -> Iterable[int]:
+    """The first pivot of each size-k column: the max over all its facets."""
+    return map(max, map(map, repeat(index), map(combinations, simplices, repeat(k - 1))))
+
+
+def _reduce(
+    levels: list[Level], first_lows
+) -> tuple[list[dict[int, int]], list[list[int]], tuple[int, int, int]]:
+    """Reduce the boundary matrix level by level from the top down, with
+    clearing; return (pivots, essential, work).
+
+    ``levels[i]`` holds the simplices of size i + 1 in filtration order,
+    and ``first_lows(simplices, index, k)`` yields the unreduced pivot of
+    each size-k column, ``index`` giving a facet's position in its level.
+    ``pivots[i]`` maps each birth position in level i - 1 to its death
+    position in level i; ``essential[i]`` lists the positions in level i of
+    the unpaired creators.  ``work`` counts the columns cleared, the
+    boundaries built and the column additions.
+
+    A column whose simplex is a pivot of the level above is cleared.  An
+    apparent column stores nothing; the others build their boundary, add
+    the stored column of each pivot they meet (an apparent pivot column's
+    boundary is built then, and kept) and store the reduced set.
     """
-    order = list(fc.order)
-    sizes = list(map(len, order))
-    if max_dim is not None and max(sizes, default=0) > max_dim + 1:
-        order = [s for s, size in zip(order, sizes) if size <= max_dim + 1]
-        sizes = list(map(len, order))
-    n = len(order)
-    face_index = dict(zip(order, range(n))).__getitem__
-    # positions grouped by simplex size, each group in filtration order
-    by_size = sorted(range(n), key=sizes.__getitem__)
-    pivot_of: dict[int, int] = {}
-    # uncleared columns that reduce to zero: no higher column pivots on them
-    # (that dimension is done), so each is an essential class
-    essential: list[int] = []
-    end = n
-    for k in range(max(sizes, default=0), 1, -1):
-        start = end - sizes.count(k)
-        columns = list(filterfalse(pivot_of.__contains__, by_size[start:end]))
-        end = start
-        # the facets of a sorted tuple, each again sorted
-        simplices = map(order.__getitem__, columns)
-        faces = map(face_index, chain.from_iterable(map(combinations, simplices, repeat(k - 1))))
-        boundaries = list(zip(*[faces] * k))
-        column: dict[int, tuple[int, ...] | set[int]] = dict(zip(columns, boundaries))
-        for j, low in zip(columns, map(max, boundaries)):
+    top = len(levels)
+    pivots: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    essential: list[list[int]] = [[] for _ in range(top)]
+    cleared = built = added = 0
+    for i in range(top - 1, 0, -1):
+        simplices, rows = levels[i][0], levels[i - 1][0]
+        index = dict(zip(rows, range(len(rows)))).__getitem__
+        columns = list(filterfalse(pivots[i + 1].__contains__, range(len(simplices))))
+        cleared += len(simplices) - len(columns)
+        pivot_of = pivots[i]
+        stored: dict[int, tuple[int, ...] | set[int]] = {}
+        lows = first_lows(list(map(simplices.__getitem__, columns)), index, i + 1)
+        for j, low in zip(columns, lows):
             other = pivot_of.get(low)
             if other is None:
                 pivot_of[low] = j
                 continue
-            col = set(column[j])
+            col = set(map(index, combinations(simplices[j], i)))
+            built += 1
             while other is not None:
-                col.symmetric_difference_update(column[other])
+                if other not in stored:
+                    stored[other] = tuple(map(index, combinations(simplices[other], i)))
+                    built += 1
+                col.symmetric_difference_update(stored[other])
+                added += 1
                 if not col:
-                    essential.append(j)
+                    essential[i].append(j)
                     break
                 low = max(col)
                 other = pivot_of.get(low)
             else:
                 pivot_of[low] = j
-                column[j] = col
-    # by_size[:end] are the vertices; those no edge pivots on are essential
-    essential.extend(filterfalse(pivot_of.__contains__, by_size[:end]))
-    essential.sort()
-    return order, sorted(pivot_of.items(), key=itemgetter(1)), essential
+                stored[j] = col
+    essential[0] = list(filterfalse(pivots[1].__contains__, range(len(levels[0][0]))))
+    return pivots[:top], essential, (cleared, built, added)
+
+
+def _reduce_values(complex: SimplicialComplex, value, top: int):
+    """(levels, pivots, essential, work) of explicit monotone values
+    ``value(s)`` over the sizes up to ``top``, each first pivot the max over
+    all facets: a test oracle for filtrations that are no lower star."""
+    levels = []
+    for k in range(1, top + 1):
+        simplices = sorted(sorted(s for s in complex.simplices if len(s) == k), key=value)
+        levels.append((simplices, list(map(value, simplices))))
+    return (levels, *_reduce(levels, _all_facet_lows))
+
+
+def _readout(levels: list[Level], pivots, essential, max_degree: int) -> list[PersistenceDiagram]:
+    """The diagrams of degrees 0..max_degree of a level reduction, read off
+    the level values by position; zero-persistence pairs are dropped."""
+    diagrams = []
+    for k in range(max_degree + 1):
+        births, deaths, pairs = levels[k][1], levels[k + 1][1], pivots[k + 1]
+        bd = zip(map(births.__getitem__, pairs), map(deaths.__getitem__, pairs.values()))
+        points = [(b, d) for b, d in bd if b != d]
+        points.extend(zip(map(births.__getitem__, essential[k]), repeat(math.inf)))
+        diagrams.append(PersistenceDiagram(k, tuple(points)))
+    return diagrams
 
 
 def compute_diagrams(fc: FilteredComplex, max_degree: int) -> list[PersistenceDiagram]:
     """Diagrams for degrees 0..max_degree.
 
-    Only simplices of dimension <= max_degree + 1 enter the reduction: columns
-    are only ever added within one dimension, so higher simplices cannot
-    change any pairing at or below the requested degree.  Values are read
-    from ``fc.values`` by position.
+    Only levels up to size max_degree + 2 enter the reduction: columns are
+    only ever added within one level, so higher simplices cannot change any
+    pairing at or below the requested degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    order, pairs, essential = reduce_filtration(fc, max_dim=max_degree + 1)
-    values = (
-        fc.values
-        if len(order) == len(fc.order)
-        else [t for s, t in zip(fc.order, fc.values) if len(s) <= max_degree + 2]
-    )
-    # one slot more: essential classes of degree max_degree + 1 land there unreported
-    points: list[list[tuple[float, float]]] = [[] for _ in range(max_degree + 2)]
-    for i, j in pairs:
-        birth, death = values[i], values[j]
-        if birth != death:
-            points[len(order[i]) - 1].append((birth, death))
-    for i in essential:
-        points[len(order[i]) - 1].append((values[i], math.inf))
-    return [PersistenceDiagram(k, tuple(points[k])) for k in range(max_degree + 1)]
+    levels = [fc.level(k) for k in range(1, max_degree + 3)]
+    return _readout(levels, *_reduce(levels, _two_facet_lows)[:2], max_degree)
 
 
 class _UnionFind:
@@ -184,9 +197,9 @@ def h0_diagram_unionfind(fc: FilteredComplex) -> PersistenceDiagram:
     without affecting the multiset.  Surviving components produce infinite
     points at their births.
     """
-    n = fc.complex.vertex_count
+    birth = fc.function.values
+    n = len(birth)
     uf = _UnionFind(n)
-    birth = list(map(fc.filtration.__getitem__, zip(range(n))))
     points: list[tuple[float, float]] = []
     find = uf.find
     for t, u, v in fc.edges:

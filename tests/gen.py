@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from types import SimpleNamespace
+from typing import Callable
 
 from topodist.complexes import (
     FilteredComplex,
@@ -19,7 +21,7 @@ from topodist.complexes import (
     lower_star,
 )
 from topodist.mergetree import MergeTree
-from topodist.persistence import PersistenceDiagram
+from topodist.persistence import PersistenceDiagram, _readout, _reduce_values
 
 
 def dyadic(rng: random.Random, lo: float = -2.0, hi: float = 2.0) -> float:
@@ -134,8 +136,9 @@ def tied_filtered(rng: random.Random, complex: SimplicialComplex) -> FilteredCom
 
 def random_monotone_filtered(
     rng: random.Random, complex: SimplicialComplex
-) -> FilteredComplex:
-    """An arbitrary monotone (not lower-star) filtration."""
+) -> dict[tuple[int, ...], float]:
+    """Explicit values, one per simplex, of an arbitrary monotone filtration
+    that is in general no lower star, so no FilteredComplex holds it."""
     filtration: dict[tuple[int, ...], float] = {}
     for s in sorted(complex.simplices, key=len):
         floor = max(
@@ -143,7 +146,36 @@ def random_monotone_filtered(
             default=dyadic(rng),
         ) if len(s) > 1 else dyadic(rng)
         filtration[s] = floor + rng.randint(0, 32) / 64.0
-    return FilteredComplex(complex, filtration)
+    return filtration
+
+
+def simplex_value(filtered: FilteredComplex | dict) -> Callable[[tuple[int, ...]], float]:
+    """``value(s)`` of a lower star (f at the top vertex of s, recomputed
+    here) or of a dict of explicit values."""
+    if isinstance(filtered, dict):
+        return filtered.__getitem__
+    f = filtered.function.values
+    return lambda s: max(f[v] for v in s)
+
+
+def level_values(fc: FilteredComplex) -> dict[tuple[int, ...], float]:
+    """The value of each simplex as the levels of ``fc`` hold it."""
+    return {s: t for k in range(1, fc.complex.dim + 2) for s, t in zip(*fc.level(k))}
+
+
+def value_diagrams(complex: SimplicialComplex, value, max_degree: int) -> list[PersistenceDiagram]:
+    """compute_diagrams for explicit per-simplex values, through the
+    reduction's explicit-values entry."""
+    levels, pivots, essential, _ = _reduce_values(complex, value, max_degree + 2)
+    return _readout(levels, pivots, essential, max_degree)
+
+
+def sweep_input(complex: SimplicialComplex, value) -> SimpleNamespace:
+    """What the union-find sweep and the merge tree read of a filtration,
+    ``function`` and ``edges`` in (value, u, v) order, for explicit values."""
+    edges = sorted((value(e), *e) for e in complex.simplices if len(e) == 2)
+    births = tuple(value((v,)) for v in range(complex.vertex_count))
+    return SimpleNamespace(function=VertexFunction(births), edges=tuple(edges))
 
 
 def grid_complex(side: int) -> SimplicialComplex:

@@ -49,6 +49,9 @@ from gen import (
     random_filtered,
     random_monotone_filtered,
     random_vertex_function,
+    simplex_value,
+    sweep_input,
+    value_diagrams,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -107,8 +110,12 @@ def test_criterion_3a_reduction_vs_unionfind():
     rng = random.Random(303)
     for i in range(100):
         K = random_complex(rng)
-        fc = random_filtered(rng, K) if i % 2 == 0 else random_monotone_filtered(rng, K)
-        assert compute_diagrams(fc, 0)[0] == h0_diagram_unionfind(fc)
+        if i % 2 == 0:
+            fc = random_filtered(rng, K)
+            assert compute_diagrams(fc, 0)[0] == h0_diagram_unionfind(fc)
+        else:  # no lower star: through the explicit-values entry
+            value = simplex_value(random_monotone_filtered(rng, K))
+            assert value_diagrams(K, value, 0)[0] == h0_diagram_unionfind(sweep_input(K, value))
     print("ACCEPTANCE 3a (reduction vs union-find, 100 instances): PASS")
 
 

@@ -39,6 +39,7 @@ from topodist.persistence import compute_diagrams
 
 from gen import (
     coned,
+    level_values,
     random_complex,
     random_connected_complex,
     random_vertex_function,
@@ -286,14 +287,14 @@ def edge_walk_sup_control(chain, fc):
     """Per source vertex, the max of the filtration over its images and over
     the edges that consecutive images span: the sweep bound read off a
     filtration, the reference for homotopy_sup_control on lower stars."""
-    values = fc.filtration
+    value = level_values(fc)
     bounds = []
     for v in range(chain.source.vertex_count):
         images = [m.vertex_image[v] for m in chain.maps]
-        bound = max(values[(w,)] for w in images)
+        bound = max(value[(w,)] for w in images)
         for a, b in zip(images, images[1:]):
             if a != b:
-                bound = max(bound, values[(min(a, b), max(a, b))])
+                bound = max(bound, value[(min(a, b), max(a, b))])
         bounds.append(bound)
     return tuple(bounds)
 
@@ -551,3 +552,73 @@ def test_condition_names_are_stable():
         "control_x",
         "control_y",
     )
+
+
+@pytest.fixture(scope="module")
+def searched_pool():
+    """Valid searched certificates on seeded pairs: X connected on 2-4
+    vertices, Y either X or X coned over one of its simplices."""
+    rng = random.Random(10)
+    pool = []
+    for i in range(40):
+        X = random_connected_complex(rng, min_vertices=2, max_vertices=4)
+        Y = coned(rng, X) if i % 2 else X
+        f = random_vertex_function(rng, X.vertex_count)
+        g = random_vertex_function(rng, Y.vertex_count)
+        _, cert = search_certificate(X, f, Y, g)
+        if cert is not None:
+            assert check_certificate(X, f, Y, g, cert).ok
+            pool.append((X, f, Y, g, cert))
+    return pool
+
+
+def _non_simplicial_map(src, dst):
+    """The first vertex map src -> dst, by image tuple, that is not
+    simplicial; None when every vertex map is."""
+    for image in itertools.product(range(dst.vertex_count), repeat=src.vertex_count):
+        m = SimplicialMap(src, dst, image)
+        if not check_simplicial(m):
+            return m
+    return None
+
+
+def _corrupted(name, X, f, Y, g, cert):
+    """``cert`` changed so that it breaks condition ``name`` and none checked
+    before it; None when this certificate cannot be changed so."""
+    field = next((part for part in ("phi", "psi", "chain_x", "chain_y") if name.startswith(part)), None)
+    src, dst = {"phi": (X, Y), "psi": (Y, X), "chain_x": (X, X), "chain_y": (Y, Y)}.get(field, (X, X))
+    if name.endswith("not_simplicial") or name.endswith("invalid"):
+        bad = _non_simplicial_map(src, dst)
+        if bad is not None and field.startswith("chain"):
+            bad = ContiguityChain((*getattr(cert, field).maps, bad))
+        return None if bad is None else replace(cert, **{field: bad})
+    if name.endswith("endpoints"):  # a one-map chain that is not the identity
+        constant = ContiguityChain((SimplicialMap(src, src, (0,) * src.vertex_count),))
+        return replace(cert, **{field: constant}) if src.vertex_count > 1 else None
+    need_phi = max([0.0, *(eps_needed(g[cert.phi(v)], f[v]) for v in range(len(f)))])
+    need_psi = max(eps_needed(f[cert.psi(w)], g[w]) for w in range(len(g)))
+    if name == "shift_phi":
+        return replace(cert, eps=0.0) if need_phi > 0 else None
+    if name == "shift_psi":
+        return replace(cert, eps=need_phi) if need_psi > need_phi else None
+    # values are in 64ths, so a tiny control factor leaves the shifts alone
+    # and fails the first chain that sweeps above some vertex's own value
+    above_x, above_y = (
+        any(b > h[v] for v, b in enumerate(homotopy_sup_control(chain, h)))
+        for chain, h in ((cert.chain_x, f), (cert.chain_y, g))
+    )
+    breaks = above_x if name == "control_x" else above_y and not above_x
+    return replace(cert, control_factor=2.0**-20) if breaks else None
+
+
+@pytest.mark.parametrize("name", CONDITIONS)
+def test_a_corrupted_certificate_is_rejected_under_its_condition(name, searched_pool):
+    """Valid searched certificates, each changed to break one condition:
+    check_certificate names exactly that condition."""
+    rejected = 0
+    for X, f, Y, g, cert in searched_pool:
+        bad = _corrupted(name, X, f, Y, g, cert)
+        if bad is not None:
+            assert check_certificate(X, f, Y, g, bad).condition == name
+            rejected += 1
+    assert rejected >= 5

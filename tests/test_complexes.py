@@ -1,9 +1,14 @@
 import gc
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
+
+import topodist
 
 from topodist.common import ParseError
 from topodist.complexes import (
@@ -31,8 +36,8 @@ from gen import (
     random_complex,
     random_complex_3d,
     random_connected_complex,
+    level_values,
     random_filtered,
-    random_monotone_filtered,
     random_vertex_function,
     tied_filtered,
 )
@@ -164,23 +169,23 @@ def test_vertex_function_rejects_nan_and_inf():
 
 def test_lower_star_path_example():
     K = build_complex([[0, 1], [1, 2]])
-    fc = lower_star(K, VertexFunction((0.0, 2.0, 1.0)))
-    assert fc.filtration[(0, 1)] == 2.0
-    assert fc.filtration[(1, 2)] == 2.0
-    assert [fc.filtration[(v,)] for v in range(3)] == [0.0, 2.0, 1.0]
+    value = level_values(lower_star(K, VertexFunction((0.0, 2.0, 1.0))))
+    assert value[(0, 1)] == 2.0
+    assert value[(1, 2)] == 2.0
+    assert [value[(v,)] for v in range(3)] == [0.0, 2.0, 1.0]
 
 
 def test_lower_star_constant():
     K = build_complex([[0, 1, 2]])
-    fc = lower_star(K, VertexFunction((5.0, 5.0, 5.0)))
-    assert all(v == 5.0 for v in fc.filtration.values())
+    value = level_values(lower_star(K, VertexFunction((5.0, 5.0, 5.0))))
+    assert len(value) == 7 and all(v == 5.0 for v in value.values())
 
 
 def test_lower_star_triangle_max_rule():
     K = build_complex([[0, 1, 2]])
-    fc = lower_star(K, VertexFunction((0.0, 0.0, 1.0)))
-    assert fc.filtration[(0, 1, 2)] == 1.0
-    assert fc.filtration[(0, 1)] == 0.0
+    value = level_values(lower_star(K, VertexFunction((0.0, 0.0, 1.0))))
+    assert value[(0, 1, 2)] == 1.0
+    assert value[(0, 1)] == 0.0
 
 
 def test_lower_star_length_mismatch():
@@ -193,18 +198,21 @@ def test_lower_star_monotone_randomized():
     rng = random.Random(11)
     for _ in range(30):
         K = random_complex(rng)
-        fc = lower_star(K, random_vertex_function(rng, K.vertex_count))
-        for s, val in fc.filtration.items():
+        value = level_values(lower_star(K, random_vertex_function(rng, K.vertex_count)))
+        assert set(value) == K.simplices
+        for s, val in value.items():
             for k in range(len(s)):
                 face = s[:k] + s[k + 1 :]
                 if face:
-                    assert fc.filtration[face] <= val
+                    assert value[face] <= val
 
 
-def test_filtered_complex_rejects_non_monotone():
+def test_filtered_complex_constructor_checks_the_function_length():
+    """Monotonicity holds by type; what the constructor can still reject is
+    a function that does not fit the complex."""
     K = build_complex([[0, 1]])
-    with pytest.raises(ValueError, match="monotone"):
-        FilteredComplex(K, {(0,): 0.0, (1,): 0.0, (0, 1): -1.0})
+    with pytest.raises(ValueError, match="function length 3 != vertex count 2"):
+        FilteredComplex(K, VertexFunction((0.0, 0.0, 1.0)))
 
 
 def test_shifted_rejects_overflow_to_inf():
@@ -222,23 +230,24 @@ def _generated_complexes(rng):
 
 
 def test_trusted_construction_equals_validated():
-    """build_complex and lower_star skip the public constructors' checks;
-    re-validating what they return passes and gives an equal object, and the
-    cached filtration order is the (value, dimension, vertex tuple) order."""
+    """build_complex skips the public constructor's checks; re-validating
+    what it returns passes and gives an equal object.  The levels of a lower
+    star are the (value, dimension, vertex tuple) order cut by size, with
+    f at the top vertex as each simplex's value."""
     rng = random.Random(2024)
     for K in _generated_complexes(rng):
         assert SimplicialComplex(K.vertex_count, K.simplices) == K
-        for values in (random_filtered, tied_filtered, random_monotone_filtered):
+        for values in (random_filtered, tied_filtered):
             fc = values(rng, K)
-            assert FilteredComplex(fc.complex, dict(fc.filtration)) == fc
-            value = fc.filtration
-            assert fc.order == tuple(
-                sorted(K.simplices, key=lambda s: (value[s], len(s), s))
-            )
-            edges = [s for s in K.simplices if len(s) == 2]
-            assert [s for s in fc.order if len(s) == 2] == sorted(
-                edges, key=lambda e: (value[e], e)
-            )
+            assert FilteredComplex(fc.complex, fc.function) == fc
+            f = fc.function.values
+            key = {s: (max(f[v] for v in s), len(s), s) for s in K.simplices}
+            order = sorted(K.simplices, key=key.__getitem__)
+            for k in range(1, K.dim + 2):
+                simplices = [s for s in order if len(s) == k]
+                assert fc.level(k) == (tuple(simplices), tuple(key[s][0] for s in simplices))
+            assert fc.level(K.dim + 2) == ((), ())
+            assert fc.edges == tuple((key[s][0], *s) for s in order if len(s) == 2)
 
 
 def test_check_simplicial_identity():
@@ -480,18 +489,36 @@ def test_parse_instance_paths_agree():
             assert _parse_batched(text.splitlines()) == (K, f)
 
 
+HUGE_COUNT_CHILD = """
+import resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from topodist.common import ParseError
+from topodist.complexes import parse_instance
+tracemalloc.start()
+try:
+    parse_instance("n 1000000000000\\n0\\n")
+except ParseError as exc:
+    print(exc)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def test_parse_instance_huge_vertex_count_fails_without_allocating():
     """The header count is checked against the value lines as they are read,
     so an absurd ``n`` fails at the end of input before anything of that
-    size is allocated."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(ParseError, match="expected 1000000000000 vertex values, got 1"):
-            parse_instance("n 1000000000000\n0\n")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    size is allocated.  The parse runs in a child Python whose address
+    space is capped at 256 MiB, so a regression that allocates by ``n``
+    dies there within seconds instead of filling the machine's memory."""
+    src = str(Path(topodist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", HUGE_COUNT_CHILD],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    message, peak = child.stdout.splitlines()
+    assert message == "<string>:2: expected 1000000000000 vertex values, got 1"
+    assert int(peak) < 1 << 20
 
 
 def test_parse_instance_comments_and_closure():

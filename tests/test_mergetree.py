@@ -296,3 +296,49 @@ def test_parse_tree_errors():
         parse_tree("node 0\n")
     with pytest.raises(ParseError, match="NaN height"):
         parse_tree("node 0 nan\n")
+
+
+TREE_ERRORS = [
+    # each text is a valid tree file apart from its one fault
+    pytest.param("node 0\n", 1, "expected `node <id> <height>`", id="node-short"),
+    pytest.param("node 0 0 1\n", 1, "expected `node <id> <height>`", id="node-long"),
+    pytest.param("node 0 0\nnode 1 1\nedge 0\n", 3, "expected `edge <child> <parent>`",
+                 id="edge-short"),
+    pytest.param("node 0 0\nnode 1 1\nedge 0 1 2\n", 3, "expected `edge <child> <parent>`",
+                 id="edge-long"),
+    pytest.param("node 0 0\nnode 0 1\n", 2, "duplicate node 0", id="duplicate-node"),
+    pytest.param("node 0 0\nnode 1 0\nnode 2 1\nedge 0 2\nedge 1 2\nedge 0 2\n", 6,
+                 "node 0 has two parents", id="second-parent"),
+    pytest.param("node 0 0\nleaf 1 0\n", 2, "expected `node` or `edge`, got 'leaf'",
+                 id="unknown-keyword"),
+    pytest.param("node zero 0\n", 1, "expected an integer, got 'zero'", id="bad-node-id"),
+    pytest.param("node 0 0\nnode 1 0\nnode 2 1\nedge 0 2\nedge 1 two\n", 5,
+                 "expected an integer, got 'two'", id="bad-parent"),
+    pytest.param("node 0 0\nnode 1 0\nnode 2 1\nedge x 2\n", 4,
+                 "expected an integer, got 'x'", id="bad-child"),
+    pytest.param("node 0 high\n", 1, "expected a number, got 'high'", id="bad-height"),
+    # whole-tree faults are reported at line 1
+    pytest.param("# nothing\n", 1, "tree must have exactly one root, found 0", id="empty"),
+    pytest.param("node 0 0\nnode 1 1\nedge 0 1\nedge 1 0\n", 1,
+                 "tree must have exactly one root, found 0", id="cycle"),
+    pytest.param("node 0 0\nnode 1 1\n", 1, "tree must have exactly one root, found 2",
+                 id="two-roots"),
+    # MergeTree's own checks, passed through
+    pytest.param("node 0 nan\n", 1, "node 0 has a NaN height", id="nan-height"),
+    pytest.param("node 0 0\nnode 1 1\nedge 0 1\n", 1,
+                 "node 1 has exactly one child; non-critical nodes must be contracted",
+                 id="one-child"),
+    pytest.param("node 0 0\nnode 1 0\nnode 2 1\nedge 0 2\nedge 1 7\n", 1,
+                 "parent 7 of 1 is not a node", id="parent-not-a-node"),
+    pytest.param("node 0 3\nnode 1 0\nnode 2 2\nedge 0 2\nedge 1 2\n", 1,
+                 "child 0 must sit strictly below its parent 2", id="child-above-parent"),
+    pytest.param("node 0 0\nnode 1 0\nnode 2 1\nedge 0 2\nedge 1 2\nedge 5 2\n", 1,
+                 "every node except the root needs exactly one parent", id="edge-from-no-node"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", TREE_ERRORS)
+def test_parse_tree_error_messages_and_lines(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_tree(text, source="t.tree")
+    assert (err.value.source, err.value.line, err.value.message) == ("t.tree", line, message)

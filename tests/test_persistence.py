@@ -3,15 +3,18 @@ import random
 
 import pytest
 
-from topodist.complexes import FilteredComplex, VertexFunction, build_complex, lower_star
+from topodist.common import ParseError
+from topodist.complexes import VertexFunction, build_complex, lower_star
 from topodist.mergetree import build_merge_tree, diagram_from_tree
 from topodist.persistence import (
     PersistenceDiagram,
+    _reduce,
+    _reduce_values,
+    _two_facet_lows,
     compute_diagrams,
     diagrams_to_tsv,
     h0_diagram_unionfind,
     parse_diagrams_tsv,
-    reduce_filtration,
     shift_diagram,
 )
 
@@ -23,7 +26,10 @@ from gen import (
     random_filtered,
     random_connected_complex,
     random_monotone_filtered,
+    simplex_value,
+    sweep_input,
     tied_filtered,
+    value_diagrams,
 )
 
 
@@ -32,16 +38,47 @@ def path_instance():
     return lower_star(K, VertexFunction((0.0, 2.0, 1.0)))
 
 
-def _filtered_inputs(rng, count, values=random_filtered):
+def _complexes(rng, count):
     """``count`` random 2-D complexes, then 3-D ones (Freudenthal blocks at
-    sides 2-4 and random complexes with hollow and solid tetrahedra), each
-    filtered by ``values``."""
+    sides 2-4 and random complexes with hollow and solid tetrahedra)."""
     for _ in range(count):
-        yield values(rng, random_complex(rng))
+        yield random_complex(rng)
     for side in (2, 3, 4):
-        yield values(rng, freudenthal_block(side))
+        yield freudenthal_block(side)
     for _ in range(12):
-        yield values(rng, random_complex_3d(rng))
+        yield random_complex_3d(rng)
+
+
+def _filtered_inputs(rng, count, values=random_filtered):
+    """The complexes of ``_complexes``, each filtered by ``values``."""
+    return (values(rng, K) for K in _complexes(rng, count))
+
+
+def _reduction(K, filtered, top=None):
+    """The levels and the reduction of a lower star (two-facet pivots) or
+    of explicit values (pivots over all facets), up to size ``top``."""
+    top = K.dim + 1 if top is None else top
+    if isinstance(filtered, dict):
+        return _reduce_values(K, filtered.__getitem__, top)
+    levels = [filtered.level(k) for k in range(1, top + 1)]
+    return (levels, *_reduce(levels, _two_facet_lows))
+
+
+def _as_positions(levels, pivots, essential):
+    """A level reduction in ``reference_reduction``'s terms: the global
+    (value, dimension, vertex tuple) order, pairs in increasing death
+    position, and essential positions in increasing order."""
+    order = [
+        s for _, _, s in sorted((t, len(s), s) for level in levels for s, t in zip(*level))
+    ]
+    at = {s: i for i, s in enumerate(order)}
+    pairs = sorted(
+        ((at[levels[i - 1][0][b]], at[levels[i][0][d]])
+         for i in range(1, len(levels)) for b, d in pivots[i].items()),
+        key=lambda p: p[1],
+    )
+    ess = sorted(at[simplices[j]] for (simplices, _), js in zip(levels, essential) for j in js)
+    return order, pairs, ess
 
 
 def test_path_diagrams():
@@ -59,9 +96,9 @@ def test_circle_diagrams():
 
 
 def test_filled_triangle_kills_cycle():
+    """A filtration that is no lower star, through the explicit-values entry."""
     K = build_complex([[0, 1, 2]])
-    filt = {s: (1.0 if len(s) == 3 else 0.0) for s in K.simplices}
-    d = compute_diagrams(FilteredComplex(K, filt), 1)
+    d = value_diagrams(K, lambda s: 1.0 if len(s) == 3 else 0.0, 1)
     assert d[1].points == ((0.0, 1.0),)
 
 
@@ -87,16 +124,17 @@ def test_h0_oracle_equivalence_small():
 
 def test_h0_oracle_equivalence_arbitrary_monotone():
     rng = random.Random(77)
-    for fc in _filtered_inputs(rng, 30, random_monotone_filtered):
-        assert compute_diagrams(fc, 0)[0] == h0_diagram_unionfind(fc)
+    for K in _complexes(rng, 30):
+        value = simplex_value(random_monotone_filtered(rng, K))
+        assert value_diagrams(K, value, 0)[0] == h0_diagram_unionfind(sweep_input(K, value))
 
 
-def reference_reduction(fc, max_dim=None):
-    """The plain left-to-right column reduction with a tuple sort key: the
-    oracle that the clearing reduction must match exactly."""
+def reference_reduction(K, value, max_dim=None):
+    """The plain left-to-right column reduction over one global order with a
+    tuple sort key: the oracle that the level reduction must match exactly."""
     order = sorted(
-        (s for s in fc.complex.simplices if max_dim is None or len(s) - 1 <= max_dim),
-        key=lambda s: (fc.filtration[s], len(s), s),
+        (s for s in K.simplices if max_dim is None or len(s) - 1 <= max_dim),
+        key=lambda s: (value(s), len(s), s),
     )
     index = {s: i for i, s in enumerate(order)}
     reduced = {}
@@ -123,33 +161,46 @@ def reference_reduction(fc, max_dim=None):
 def test_reduction_matches_left_to_right_oracle(values):
     rng = random.Random(5150)
     death_dims = set()
-    for fc in _filtered_inputs(rng, 10, values):
+    for K in _complexes(rng, 10):
+        filtered = values(rng, K)
         for max_dim in (None, 1, 2, 3):
-            got = reduce_filtration(fc, max_dim)
-            assert got == reference_reduction(fc, max_dim)
+            top = None if max_dim is None else min(max_dim, K.dim) + 1
+            got = _as_positions(*_reduction(K, filtered, top)[:3])
+            assert got == reference_reduction(K, simplex_value(filtered), max_dim)
             order, pairs, _ = got
             death_dims.update(len(order[j]) - 1 for _, j in pairs)
     # columns of every dimension, tetrahedra included, kill some class
     assert death_dims == {1, 2, 3}
 
 
-def test_reduction_order_is_a_fresh_list():
+def test_levels_are_cached_and_read_only():
+    """compute_diagrams reads the levels a FilteredComplex caches; they are
+    tuples, so no caller can reorder them."""
     rng = random.Random(31)
     for fc in _filtered_inputs(rng, 5):
         before = compute_diagrams(fc, 2)
-        order, _, _ = reduce_filtration(fc)
-        assert type(order) is list
-        order.reverse()
-        order.append((-1,))
+        levels = [fc.level(k) for k in range(1, 5)]
+        assert all(type(part) is tuple for level in levels for part in level)
         assert compute_diagrams(fc, 2) == before
-        assert reduce_filtration(fc)[0] == list(fc.order)
+        assert [fc.level(k) for k in range(1, 5)] == levels
+        assert all(fc.level(k) is level for k, level in enumerate(levels, 1))
+
+
+def test_reduction_work_is_pinned():
+    """The work of the level reduction on one seeded field: columns cleared,
+    boundaries built and column additions.  Reducing without clearing, or
+    without storing a reduced column, still gives the right pairs, but not
+    these counts."""
+    fc = random_filtered(random.Random(3), freudenthal_block(4))
+    levels = [fc.level(k) for k in range(1, 5)]
+    assert _reduce(levels, _two_facet_lows)[2] == (378, 157, 135)
 
 
 def test_every_simplex_is_birth_death_or_essential_once():
     rng = random.Random(99)
     for _ in range(25):
-        fc = random_filtered(rng, random_complex(rng))
-        order, pairs, essential = reduce_filtration(fc)
+        K = random_complex(rng)
+        order, pairs, essential = _as_positions(*_reduction(K, random_filtered(rng, K))[:3])
         seen = sorted([i for p in pairs for i in p] + list(essential))
         assert seen == list(range(len(order)))
 
@@ -275,6 +326,24 @@ def test_tsv_roundtrip_randomized():
             assert rest.points == ()
 
 
+TSV_ERRORS = [
+    pytest.param("0\t0\tinf\n0\t1\n", 2, "expected `degree birth death`", id="two-tokens"),
+    pytest.param("0\t1\t2\t3\n", 1, "expected `degree birth death`", id="four-tokens"),
+    pytest.param("zero\t1\t2\n", 1, "expected an integer, got 'zero'", id="bad-degree"),
+    pytest.param("0\t0\tinf\n-1\t1\t2\n", 2, "degree must be non-negative",
+                 id="negative-degree"),
+    pytest.param("# diagram\n0\tlow\t2\n", 2, "expected a number, got 'low'", id="bad-birth"),
+    pytest.param("1\t1\thigh\n", 1, "expected a number, got 'high'", id="bad-death"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", TSV_ERRORS)
+def test_parse_diagrams_tsv_error_messages_and_lines(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_diagrams_tsv(text, source="d.tsv")
+    assert (err.value.source, err.value.line, err.value.message) == ("d.tsv", line, message)
+
+
 def test_tsv_lines_sorted():
     rng = random.Random(57)
     fc = random_filtered(rng, random_complex(rng))
@@ -286,11 +355,11 @@ def test_tsv_lines_sorted():
     assert keys == sorted(keys)
 
 
-def _left_to_right_recording(fc):
+def _left_to_right_recording(K, value):
     """``reference_reduction`` with a record: the dimensions in which some
     column adds a pivot column that received no additions itself, that is
     a column still equal to its boundary."""
-    order = sorted(fc.complex.simplices, key=lambda s: (fc.filtration[s], len(s), s))
+    order = sorted(K.simplices, key=lambda s: (value(s), len(s), s))
     index = {s: i for i, s in enumerate(order)}
     boundary = {}
     reduced = {}
@@ -321,22 +390,31 @@ def test_reduction_adds_unreduced_pivot_columns_in_every_dimension(values):
     pivot columns that are still their own boundary, and the reduction
     matches the left-to-right oracle there."""
     rng = random.Random(606)
-    fc = values(rng, freudenthal_block(6))
-    expected, unreduced_added = _left_to_right_recording(fc)
+    K = freudenthal_block(6)
+    filtered = values(rng, K)
+    value = simplex_value(filtered)
+    expected, unreduced_added = _left_to_right_recording(K, value)
     assert unreduced_added == {1, 2, 3}
-    assert reduce_filtration(fc) == expected == reference_reduction(fc)
+    got = _as_positions(*_reduction(K, filtered)[:3])
+    assert got == expected == reference_reduction(K, value)
 
 
 @pytest.mark.parametrize("values", [tied_filtered, random_monotone_filtered])
 def test_cached_position_arrays(values):
-    """``values`` and ``edges`` are read by position along ``order``."""
+    """Each level holds the simplices of one size in (value, vertex tuple)
+    order and their values by position; ``edges`` is level 2 as triples."""
     rng = random.Random(607)
     for K in (freudenthal_block(6), random_complex(rng), random_complex_3d(rng)):
-        fc = values(rng, K)
-        assert fc.values == tuple(fc.filtration[s] for s in fc.order)
-        assert fc.edges == tuple(
-            (fc.filtration[s], *s) for s in fc.order if len(s) == 2
-        )
+        filtered = values(rng, K)
+        value = simplex_value(filtered)
+        levels = _reduction(K, filtered)[0]
+        for k, (simplices, level_values) in enumerate(levels, 1):
+            assert list(simplices) == sorted(
+                (s for s in K.simplices if len(s) == k), key=lambda s: (value(s), s)
+            )
+            assert list(level_values) == list(map(value, simplices))
+        if not isinstance(filtered, dict):
+            assert filtered.edges == tuple((t, *s) for s, t in zip(*filtered.level(2)))
 
 
 def test_tree_readout_matches_unionfind_on_monotone_filtrations():
@@ -344,5 +422,5 @@ def test_tree_readout_matches_unionfind_on_monotone_filtrations():
     blocks = [freudenthal_block(side) for side in (2, 4, 6)]
     complexes = blocks + [random_connected_complex(rng, max_vertices=16) for _ in range(30)]
     for K in complexes:
-        fc = random_monotone_filtered(rng, K)
-        assert diagram_from_tree(build_merge_tree(fc)) == h0_diagram_unionfind(fc)
+        sweep = sweep_input(K, simplex_value(random_monotone_filtered(rng, K)))
+        assert diagram_from_tree(build_merge_tree(sweep)) == h0_diagram_unionfind(sweep)

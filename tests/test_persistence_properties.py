@@ -1,6 +1,8 @@
 """Property tests: lower-star diagrams scale exactly with a power-of-two
 scaling of the vertex function, and a common dyadic shift of the function
-shifts every point by exactly that amount."""
+shifts every point by exactly that amount.  The two-facet pivot of a
+lower-star column is its max over all facets, and compute_diagrams agrees
+with the explicit-values entry given the same values."""
 
 import random
 
@@ -10,9 +12,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from topodist.complexes import VertexFunction, lower_star
-from topodist.persistence import PersistenceDiagram, compute_diagrams, shift_diagram
+from topodist.persistence import (
+    PersistenceDiagram,
+    _all_facet_lows,
+    _reduce,
+    _reduce_values,
+    _two_facet_lows,
+    compute_diagrams,
+    shift_diagram,
+)
 
-from gen import freudenthal_block, random_complex, random_complex_3d
+from gen import (
+    freudenthal_block,
+    random_complex,
+    random_complex_3d,
+    simplex_value,
+    value_diagrams,
+)
 
 
 @st.composite
@@ -54,3 +70,29 @@ def test_scaling_by_a_power_of_two_scales_every_point(instance, k):
 def test_a_common_dyadic_shift_shifts_every_point(instance, c):
     base = diagrams(*instance)
     assert diagrams(*instance, shift=c / 64) == [shift_diagram(d, c / 64) for d in base]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(field())
+def test_two_facet_pivot_is_the_max_over_all_facets(instance):
+    K, values = instance
+    fc = lower_star(K, VertexFunction(tuple(v / 64 for v in values)))
+    for k in range(2, K.dim + 2):
+        rows, simplices = fc.level(k - 1)[0], list(fc.level(k)[0])
+        index = dict(zip(rows, range(len(rows)))).__getitem__
+        assert list(_two_facet_lows(simplices, index, k)) == list(
+            _all_facet_lows(simplices, index, k)
+        )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(field())
+def test_compute_diagrams_equals_the_explicit_values_entry(instance):
+    K, values = instance
+    fc = lower_star(K, VertexFunction(tuple(v / 64 for v in values)))
+    value = simplex_value(fc)
+    levels = [fc.level(k) for k in range(1, 5)]
+    explicit_levels, *explicit = _reduce_values(K, value, 4)
+    assert [tuple(map(tuple, level)) for level in explicit_levels] == levels
+    assert list(_reduce(levels, _two_facet_lows)) == explicit
+    assert compute_diagrams(fc, 2) == value_diagrams(K, value, 2)
