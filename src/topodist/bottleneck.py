@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, permutations
 from typing import Sequence
 
 from .common import SizeGuardExceeded, eps_needed
-from .complexes import SimplicialComplex, VertexFunction, _require_fits
+from .complexes import SimplicialComplex, VertexFunction, _each_simplicial_map, _require_fits
 from .persistence import PersistenceDiagram
 
 BRUTEFORCE_GUARD = 8
@@ -289,23 +290,6 @@ def linf_distance(f: VertexFunction | Sequence[float], g: VertexFunction | Seque
     return max((eps_needed(max(a, b), min(a, b)) for a, b in zip(f, g)), default=0.0)
 
 
-def _simplex_counts(complex: SimplicialComplex) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for s in complex.simplices:
-        counts[len(s)] = counts.get(len(s), 0) + 1
-    return counts
-
-
-def _vertex_profile(complex: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Per vertex, the sorted sizes of the facets containing it (an isomorphism
-    invariant used to prune the search)."""
-    profile: list[list[int]] = [[] for _ in range(complex.vertex_count)]
-    for facet in complex.facets:
-        for v in facet:
-            profile[v].append(len(facet))
-    return [tuple(sorted(p)) for p in profile]
-
-
 def natural_pseudo_upper(
     k1: SimplicialComplex, f: VertexFunction, k2: SimplicialComplex, g: VertexFunction
 ) -> float:
@@ -315,47 +299,27 @@ def natural_pseudo_upper(
     This is an UPPER BOUND on the natural pseudo-distance: the infimum there
     ranges over all homeomorphisms, which a finite enumeration cannot exhaust.
     Returns inf when the complexes are not isomorphic.
+
+    With equal simplex counts per size, the isomorphisms are the injective
+    simplicial maps.  One using only pairs (v, h(v)) of cost <= t exists for
+    every t from the optimum up, so the optimum is found by bisection.
     """
     _require_fits(k1, f)
     _require_fits(k2, g)
     if k1.vertex_count > NP_VERTEX_GUARD or k2.vertex_count > NP_VERTEX_GUARD:
         raise SizeGuardExceeded(f"isomorphism enumeration limited to {NP_VERTEX_GUARD} vertices")
     n = k1.vertex_count
-    if k2.vertex_count != n or _simplex_counts(k1) != _simplex_counts(k2):
+    if k2.vertex_count != n or Counter(map(len, k1.simplices)) != Counter(map(len, k2.simplices)):
         return math.inf
     if n == 0:
         return 0.0
+    cost = [[eps_needed(max(x, y), min(x, y)) for y in g] for x in f]
+    levels = sorted(set(chain.from_iterable(cost)))
 
-    prof1, prof2 = _vertex_profile(k1), _vertex_profile(k2)
-    by_max: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for s in k1.facets:
-        by_max[s[-1]].append(s)
+    def feasible(t: float) -> bool:
+        allowed = [frozenset(w for w, c in enumerate(row) if c <= t) for row in cost]
+        return _each_simplicial_map(k1, k2, lambda image: True, allowed=allowed, injective=True)
 
-    best = math.inf
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int, worst: float) -> None:
-        nonlocal best
-        if worst >= best:
-            return
-        if v == n:
-            best = worst
-            return
-        for w in range(n):
-            if used[w] or prof1[v] != prof2[w]:
-                continue
-            image[v] = w
-            ok = True
-            for s in by_max[v]:
-                if tuple(sorted(image[u] for u in s)) not in k2.simplices:
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                extend(v + 1, max(worst, eps_needed(max(f[v], g[w]), min(f[v], g[w]))))
-                used[w] = False
-        image[v] = -1
-
-    extend(0, 0.0)
-    return best
+    if not feasible(levels[-1]):
+        return math.inf
+    return levels[bisect_left(levels, True, hi=len(levels) - 1, key=feasible)]

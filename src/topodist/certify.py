@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from operator import itemgetter, or_
 from pathlib import Path
-from typing import Callable
+from typing import Iterator
 
 from .bottleneck import bottleneck_distance
 from .common import (
@@ -35,6 +36,7 @@ from .common import (
     SizeGuardExceeded,
     content_lines,
     eps_needed,
+    float_ceil,
     fmt_value,
     parse_int,
     parse_value,
@@ -45,6 +47,7 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     VertexFunction,
+    _each_simplicial_map,
     _require_fits,
     _sweep,
     check_contiguity_chain,
@@ -102,6 +105,16 @@ class ShiftCertificate:
             raise ValueError("chain_x must consist of self-maps of phi's source")
         if self.chain_y.source != self.phi.target or self.chain_y.target != self.phi.target:
             raise ValueError("chain_y must consist of self-maps of phi's target")
+
+
+def dht_upper_bound(eps: float, control_factor: float) -> float:
+    """The least float >= max(1, k/2)*eps: the bound on d_HT that a
+    certificate at ``eps`` and control factor k witnesses.  The paper's
+    homotopies sweep up to 2*eps; a certificate at k <= 2 passes at factor
+    2 with the same eps, and one at k > 2 at (k/2)*eps."""
+    if control_factor <= 2.0 or not 0.0 < eps < math.inf:
+        return eps
+    return float_ceil(Fraction(control_factor) * Fraction(eps) / 2)
 
 
 @dataclass(frozen=True)
@@ -196,27 +209,6 @@ def check_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _facet_completion_order(complex: SimplicialComplex) -> tuple[list[int], list[list[Simplex]]]:
-    """A vertex order that completes facets early, plus, per position, the
-    facets whose vertices are all assigned exactly there."""
-    order: list[int] = []
-    seen: set[int] = set()
-    facets = sorted(complex.facets, key=lambda s: (-len(s), s))
-    for facet in facets:
-        for v in facet:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    for v in range(complex.vertex_count):
-        if v not in seen:
-            order.append(v)
-    position = {v: i for i, v in enumerate(order)}
-    complete_at: list[list[Simplex]] = [[] for _ in order]
-    for facet in facets:
-        complete_at[max(position[v] for v in facet)].append(facet)
-    return order, complete_at
-
-
 def enumerate_simplicial_maps(
     src: SimplicialComplex, dst: SimplicialComplex
 ) -> list[tuple[int, ...]]:
@@ -225,79 +217,6 @@ def enumerate_simplicial_maps(
     _each_simplicial_map(src, dst, lambda image: found.append(tuple(image)))
     found.sort()
     return found
-
-
-def _each_simplicial_map(
-    src: SimplicialComplex,
-    dst: SimplicialComplex,
-    visit: Callable[[list[int]], None],
-    closed: Callable[[list[Simplex], list[int], int, int], None] | None = None,
-) -> None:
-    """Call ``visit`` with the vertex images of every simplicial map src -> dst,
-    in depth-first order; the list is reused between calls.
-
-    Each facet is checked exactly once, when its last vertex v is assigned:
-    v tries only the targets that complete the image of the facet's other
-    vertices to a simplex (see _completions), intersected over the facets
-    completed at v.
-
-    The maps below one partial assignment get consecutive visit indices.
-    If given, ``closed(facets, image, start, end)`` is called once the maps
-    start..end-1 below an assignment have been visited, with the facets that
-    assignment completed; all those maps send each of them where ``image``
-    does.
-    """
-    if src.vertex_count == 0:
-        visit([])
-        return
-    if dst.vertex_count == 0:
-        return
-    order, complete_at = _facet_completion_order(src)
-    completions = _completions(dst)
-    nothing: frozenset[int] = frozenset()
-    anything = completions[nothing]
-    # per position, the other vertices of each facet completed there
-    others = [
-        [tuple(u for u in facet if u != v) for facet in facets]
-        for v, facets in zip(order, complete_at)
-    ]
-    hooks = [facets if closed is not None and facets else None for facets in complete_at]
-    image = [0] * src.vertex_count
-    at = image.__getitem__
-    last = len(order) - 1
-    count = 0
-
-    def extend(i: int) -> None:
-        nonlocal count
-        v = order[i]
-        candidates = anything
-        for rest in others[i]:
-            candidates = candidates & completions.get(frozenset(map(at, rest)), nothing)
-        hook = hooks[i]
-        for w in candidates:
-            image[v] = w
-            start = count
-            if i == last:
-                visit(image)
-                count += 1
-            else:
-                extend(i + 1)
-            if hook is not None and count > start:
-                closed(hook, image, start, count)
-
-    extend(0)
-
-
-def _completions(complex: SimplicialComplex) -> dict[frozenset[int], frozenset[int]]:
-    """For each simplex A as a vertex set (the empty set included), the
-    vertices w with A | {w} a simplex, the vertices of A included."""
-    table: dict[frozenset[int], set[int]] = {frozenset(): set(range(complex.vertex_count))}
-    for s in complex.simplices:
-        span = frozenset(s)
-        table.setdefault(span, set()).update(s)
-        for w in s:
-            table.setdefault(span - {w}, set()).add(w)
-    return {a: frozenset(ws) for a, ws in table.items()}
 
 
 def _chains_to_identity(
@@ -385,12 +304,16 @@ def _chain_from(
     start: tuple[int, ...],
 ) -> ContiguityChain:
     """The contiguity chain from ``start`` to the identity along BFS links."""
-    maps: list[SimplicialMap] = []
-    img: tuple[int, ...] | None = start
+    return ContiguityChain(tuple(SimplicialMap(complex, complex, img) for img in _path(prev, start)))
+
+
+def _path(
+    prev: dict[tuple[int, ...], tuple[int, ...] | None], img: tuple[int, ...] | None
+) -> Iterator[tuple[int, ...]]:
+    """The image tuples from ``img`` to the identity along BFS links."""
     while img is not None:
-        maps.append(SimplicialMap(complex, complex, img))
+        yield img
         img = prev[img]
-    return ContiguityChain(tuple(maps))
 
 
 def _control_eps(
@@ -405,12 +328,7 @@ def _control_eps(
     read off the chain's image tuples by homotopy_sup_control's helper."""
     eps = memo.get(h)
     if eps is None:
-        chain = []
-        img: tuple[int, ...] | None = h
-        while img is not None:
-            chain.append(img)
-            img = prev[img]
-        bounds = _sweep(chain, f.values)
+        bounds = _sweep(_path(prev, h), f.values)
         eps = memo[h] = max([0.0, *map(eps_needed, bounds, f.values, repeat(factor))])
     return eps
 
@@ -593,7 +511,7 @@ class StabilityEntry:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    eps: float
+    bound: float
     entries: tuple[StabilityEntry, ...]
     ok: bool
 
@@ -606,8 +524,9 @@ def verify_stability(
     cert: ShiftCertificate,
     max_degree: int = 2,
 ) -> StabilityReport:
-    """Check d_B <= certified eps in every degree up to max_degree, on the
-    lower-star diagrams of f and g.
+    """Check d_B <= the certified bound on d_HT (dht_upper_bound of the
+    certificate's eps and control factor) in every degree up to max_degree,
+    on the lower-star diagrams of f and g.
 
     Refuses to run on a failing certificate.  A violation is reported in the
     result (it would falsify the stability theorem, i.e. reveal a bug), not
@@ -618,13 +537,14 @@ def verify_stability(
         raise ValueError(
             f"refusing to verify stability with a failing certificate ({result.condition})"
         )
+    bound = dht_upper_bound(cert.eps, cert.control_factor)
     dx = compute_diagrams(lower_star(X, f), max_degree)
     dy = compute_diagrams(lower_star(Y, g), max_degree)
     entries = []
     for k in range(max_degree + 1):
         db, _ = bottleneck_distance(dx[k], dy[k])
-        entries.append(StabilityEntry(k, db, cert.eps - db, db <= cert.eps))
-    return StabilityReport(cert.eps, tuple(entries), all(e.ok for e in entries))
+        entries.append(StabilityEntry(k, db, bound - db, db <= bound))
+    return StabilityReport(bound, tuple(entries), all(e.ok for e in entries))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a property or certificate check failed, 2 usage or
-parse error, 3 the stability assertion d_B <= eps failed (a falsification
-signal, which always means a bug somewhere, but localizes it).
+parse error, 3 the stability assertion d_B <= max(1, k/2)*eps failed (a
+falsification signal, which always means a bug somewhere, but localizes it).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .certify import (
     DEFAULT_CONTROL_FACTOR,
     DEFAULT_MAX_CHAIN_LEN,
     check_certificate,
+    dht_upper_bound,
     load_certificate,
     save_certificate,
     search_certificate,
@@ -143,7 +144,7 @@ def cmd_dht_search(args: argparse.Namespace) -> int:
     eps, cert = search_certificate(
         X, f, Y, g, max_chain_len=args.max_chain, control_factor=args.factor
     )
-    print(f"dht_upper\t{fmt_sig(eps)}")
+    print(f"dht_upper\t{fmt_sig(dht_upper_bound(eps, args.factor))}")
     if cert is not None and args.cert_out is not None:
         save_certificate(args.cert_out, cert)
     return EXIT_OK
@@ -162,7 +163,7 @@ def cmd_dht_stability(args: argparse.Namespace) -> int:
     for entry in report.entries:
         print(
             f"stability{entry.degree}\t{fmt_sig(entry.bottleneck)}"
-            f"\t{fmt_sig(report.eps)}\t{fmt_sig(entry.slack)}"
+            f"\t{fmt_sig(report.bound)}\t{fmt_sig(entry.slack)}"
         )
     print(f"stability_ok\t{'true' if report.ok else 'false'}")
     return EXIT_OK if report.ok else EXIT_STABILITY
@@ -261,10 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file_x")
     s.add_argument("file_y")
     s.add_argument("--max-chain", type=int, default=DEFAULT_MAX_CHAIN_LEN)
-    s.add_argument("--factor", type=float, default=DEFAULT_CONTROL_FACTOR)
+    s.add_argument(
+        "--factor", type=float, default=DEFAULT_CONTROL_FACTOR,
+        help="control factor k: chains may sweep up to k*eps above a vertex's value; "
+        "dht_upper is the least float >= max(1, k/2)*eps",
+    )
     s.add_argument("--cert-out", default=None)
     s.set_defaults(func=cmd_dht_search)
-    st = dsub.add_parser("stability", help="verify d_B <= certified eps per degree")
+    st = dsub.add_parser(
+        "stability", help="verify d_B <= the certified bound max(1, k/2)*eps per degree"
+    )
     st.add_argument("file_x")
     st.add_argument("file_y")
     st.add_argument("certificate")

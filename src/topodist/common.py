@@ -79,7 +79,11 @@ def eps_needed(x: float, base: float, factor: float = 1.0) -> float:
 
 
 def _eps_needed_exact(x: float, base: float, factor: float) -> float:
-    q = (Fraction(x) - Fraction(base)) / Fraction(factor)
+    return float_ceil((Fraction(x) - Fraction(base)) / Fraction(factor))
+
+
+def float_ceil(q: Fraction) -> float:
+    """The least float >= q; inf when q is above every float."""
     try:
         e = float(q)  # correctly rounded
     except OverflowError:

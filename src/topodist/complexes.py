@@ -14,12 +14,12 @@ finite, checkable certificate that its two endpoint maps are homotopic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress, groupby, repeat
 from operator import eq, lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .common import ParseError, content_lines, fmt_value, parse_int, parse_value
 
@@ -211,28 +211,36 @@ class FilteredComplex:
 
     complex: SimplicialComplex
     function: VertexFunction
+    # the levels read so far, by size
+    _levels: dict[int, tuple[tuple[Simplex, ...], tuple[float, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         _require_fits(self.complex, self.function)
 
     @cached_property
-    def _levels(self) -> list[tuple[tuple[Simplex, ...], tuple[float, ...]]]:
-        """Level k at index k - 1, up to the top dimension (face closure
-        leaves no size out): per size, one lex sort, then one stable sort by
-        value."""
-        value = self.function.values.__getitem__
-        levels = []
-        for _, group in groupby(sorted(self.complex.simplices, key=len), len):
-            simplices = sorted(group)
-            values = list(map(max, map(map, repeat(value), simplices)))
-            by_value = sorted(range(len(values)), key=values.__getitem__)
-            levels.append(tuple(tuple(map(seq.__getitem__, by_value)) for seq in (simplices, values)))
-        return levels
+    def _sizes(self) -> list[list[Simplex]]:
+        """The simplices grouped by size, size k at index k - 1 (face
+        closure leaves no size out)."""
+        return [list(group) for _, group in groupby(sorted(self.complex.simplices, key=len), len)]
 
     def level(self, k: int) -> tuple[tuple[Simplex, ...], tuple[float, ...]]:
         """The simplices of size k in (value, vertex tuple) order, and their
-        values by position; empty above the top dimension."""
-        return self._levels[k - 1] if k <= len(self._levels) else ((), ())
+        values by position; empty for k < 1 and above the top dimension.  A
+        level is built on its first read, by one lex sort and one stable sort
+        by value."""
+        built = self._levels.get(k)
+        if built is None:
+            if not 1 <= k <= len(self._sizes):
+                return ((), ())
+            value = self.function.values.__getitem__
+            simplices = sorted(self._sizes[k - 1])
+            values = list(map(max, map(map, repeat(value), simplices)))
+            by_value = sorted(range(len(values)), key=values.__getitem__)
+            built = tuple(tuple(map(seq.__getitem__, by_value)) for seq in (simplices, values))
+            self._levels[k] = built
+        return built
 
     @cached_property
     def edges(self) -> tuple[tuple[float, int, int], ...]:
@@ -292,6 +300,99 @@ def check_simplicial(map: SimplicialMap) -> bool:
     """
     simplices = map.target.simplices
     return all(map.apply(s) in simplices for s in map.source.facets)
+
+
+def _facet_completion_order(complex: SimplicialComplex) -> tuple[list[int], list[list[Simplex]]]:
+    """A vertex order that completes facets early, plus, per position, the
+    facets whose vertices are all assigned exactly there.  Every vertex is a
+    simplex, so some facet holds it."""
+    facets = sorted(complex.facets, key=lambda s: (-len(s), s))
+    order = list(dict.fromkeys(v for facet in facets for v in facet))
+    position = {v: i for i, v in enumerate(order)}
+    complete_at: list[list[Simplex]] = [[] for _ in order]
+    for facet in facets:
+        complete_at[max(position[v] for v in facet)].append(facet)
+    return order, complete_at
+
+
+def _each_simplicial_map(
+    src: SimplicialComplex,
+    dst: SimplicialComplex,
+    visit: Callable[[list[int]], bool | None],
+    closed: Callable[[list[Simplex], list[int], int, int], None] | None = None,
+    allowed: Sequence[frozenset[int]] | None = None,
+    injective: bool = False,
+) -> bool:
+    """Call ``visit`` with the vertex images of every simplicial map src -> dst,
+    in depth-first order; the list is reused between calls.  A true return
+    value of ``visit`` stops the enumeration, and then this returns True.
+
+    Each facet is checked exactly once, when its last vertex v is assigned:
+    v tries only the targets that complete the image of the facet's other
+    vertices to a simplex (see _completions), intersected over the facets
+    completed at v.  With ``allowed``, each vertex v also takes only targets
+    in ``allowed[v]``; with ``injective``, no target that an earlier vertex
+    took.
+
+    The maps below one partial assignment get consecutive visit indices.
+    If given, ``closed(facets, image, start, end)`` is called once the maps
+    start..end-1 below an assignment have been visited, with the facets that
+    assignment completed; all those maps send each of them where ``image``
+    does.
+    """
+    if src.vertex_count == 0:
+        return bool(visit([]))
+    order, complete_at = _facet_completion_order(src)
+    completions = _completions(dst)
+    nothing: frozenset[int] = frozenset()
+    anything = completions[nothing]
+    starts = [anything if allowed is None else anything & allowed[v] for v in order]
+    # per position, the other vertices of each facet completed there
+    others = [
+        [tuple(u for u in facet if u != v) for facet in facets]
+        for v, facets in zip(order, complete_at)
+    ]
+    hooks = [facets if closed is not None and facets else None for facets in complete_at]
+    image = [0] * src.vertex_count
+    at = image.__getitem__
+    last = len(order) - 1
+    count = 0
+
+    def extend(i: int) -> bool:
+        nonlocal count
+        v = order[i]
+        candidates = starts[i]
+        for rest in others[i]:
+            candidates = candidates & completions.get(frozenset(map(at, rest)), nothing)
+        if injective:
+            candidates = candidates.difference(map(at, order[:i]))
+        hook = hooks[i]
+        for w in candidates:
+            image[v] = w
+            start = count
+            if i == last:
+                if visit(image):
+                    return True
+                count += 1
+            elif extend(i + 1):
+                return True
+            if hook is not None and count > start:
+                closed(hook, image, start, count)
+        return False
+
+    return extend(0)
+
+
+def _completions(complex: SimplicialComplex) -> dict[frozenset[int], frozenset[int]]:
+    """For each simplex A as a vertex set (the empty set included), the
+    vertices w with A | {w} a simplex, the vertices of A included."""
+    table: dict[frozenset[int], set[int]] = {frozenset(): set(range(complex.vertex_count))}
+    for s in complex.simplices:
+        span = frozenset(s)
+        table.setdefault(span, set()).update(s)
+        for w in s:
+            table.setdefault(span - {w}, set()).add(w)
+    return {a: frozenset(ws) for a, ws in table.items()}
 
 
 def contiguous(m1: SimplicialMap, m2: SimplicialMap) -> bool:

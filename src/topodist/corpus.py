@@ -20,7 +20,9 @@ from .bottleneck import (
     natural_pseudo_upper,
 )
 from .certify import (
+    DEFAULT_CONTROL_FACTOR,
     check_certificate,
+    dht_upper_bound,
     load_certificate,
     search_certificate,
     upshift_asymmetry_probe,
@@ -167,14 +169,14 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
             CheckRow("cert_valid", outcome.ok, outcome.condition or "all conditions hold")
         )
         if outcome.ok:
-            dht_upper = cert.eps
+            dht_upper = dht_upper_bound(cert.eps, cert.control_factor)
             report = verify_stability(X, f, Y, g, cert, max_degree=kmax)
             for entry in report.entries:
                 checks.append(
                     CheckRow(
                         f"stability{entry.degree}",
                         entry.ok,
-                        f"bottleneck {entry.bottleneck} <= eps {report.eps}",
+                        f"bottleneck {entry.bottleneck} <= bound {report.bound}",
                     )
                 )
             for delta in PROBE_DELTAS:
@@ -193,7 +195,7 @@ def run_pair(pair: InstancePair | Path | str) -> PairResult:
 
     try:
         searched, _ = search_certificate(X, f, Y, g)
-        dht_upper = min(dht_upper, searched)
+        dht_upper = min(dht_upper, dht_upper_bound(searched, DEFAULT_CONTROL_FACTOR))
     except SizeGuardExceeded:
         result.notes.append("certificate search skipped: vertex guard")
     values["dht_upper"] = dht_upper

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import threading
@@ -11,16 +12,20 @@ from topodist.bottleneck import (
     linf_distance,
     natural_pseudo_upper,
 )
-from topodist.common import SizeGuardExceeded
+from topodist.common import SizeGuardExceeded, eps_needed
 from topodist.complexes import VertexFunction, build_complex, lower_star
 from topodist.persistence import PersistenceDiagram, compute_diagrams
 
 from gen import (
     grid_complex,
+    non_dyadic_vertex_function,
+    random_complex,
+    random_complex_3d,
     random_connected_complex,
     random_diagram,
     random_vertex_function,
     tied_diagram,
+    tied_vertex_function,
 )
 
 
@@ -224,6 +229,56 @@ def test_np_bounded_by_linf_and_bounds_bottleneck():
         dg = compute_diagrams(lower_star(K, g), 2)
         for k in range(3):
             assert bottleneck_distance(df[k], dg[k])[0] <= np_upper
+
+
+def np_oracle(X, f, Y, g):
+    """Min over the vertex bijections p that map X's simplex set onto Y's of
+    max_v |f(v) - g(p(v))| rounded up; inf when there is none."""
+    n = X.vertex_count
+    if Y.vertex_count != n or len(X.simplices) != len(Y.simplices):
+        return math.inf
+    best = math.inf
+    for p in itertools.permutations(range(n)):
+        # p is one-to-one on simplices, so mapping into Y's equally many is onto
+        if all(tuple(sorted(p[v] for v in s)) in Y.simplices for s in X.simplices):
+            cost = max((eps_needed(max(f[v], g[p[v]]), min(f[v], g[p[v]])) for v in range(n)), default=0.0)
+            best = min(best, cost)
+    return best
+
+
+def relabelled(rng, K):
+    perm = list(range(K.vertex_count))
+    rng.shuffle(perm)
+    return build_complex(
+        [[perm[v] for v in s] for s in K.simplices], vertex_count=K.vertex_count, max_dim=3
+    )
+
+
+def test_np_equals_bijection_oracle():
+    """natural_pseudo_upper equals the minimum over all vertex bijections
+    that map one simplex set onto the other, on independent pairs and on
+    relabelled copies, with random, tied and non-dyadic values."""
+    rng = random.Random(2025)
+    values = (
+        random_vertex_function,
+        tied_vertex_function,
+        lambda rng, n: non_dyadic_vertex_function(rng, n, "thirds"),
+    )
+    finite = infinite = 0
+    for i in range(420):
+        make = random_complex_3d if i % 5 == 4 else random_complex
+        X = make(rng, max_vertices=6)
+        if i % 3 == 0:  # independent; few vertices, so some are isomorphic
+            Y = make(rng, max_vertices=rng.choice((3, 6)))
+        else:
+            Y = relabelled(rng, X)
+        value = values[(i // 3) % 3]
+        f, g = value(rng, X.vertex_count), value(rng, Y.vertex_count)
+        want = np_oracle(X, f, Y, g)
+        assert natural_pseudo_upper(X, f, Y, g) == want, (sorted(X.simplices), f, sorted(Y.simplices), g)
+        finite += want < math.inf
+        infinite += want == math.inf
+    assert finite >= 250 and infinite >= 50, (finite, infinite)
 
 
 def test_matching_dataclass_holds_cost():

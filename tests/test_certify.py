@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 import topodist.certify
-from topodist.bottleneck import linf_distance
+from topodist.bottleneck import bottleneck_distance, linf_distance
 from topodist.common import ParseError, SizeGuardExceeded, eps_needed
 from topodist.certify import (
     CONDITIONS,
@@ -17,6 +18,7 @@ from topodist.certify import (
     _chain_from,
     _chains_to_identity,
     check_certificate,
+    dht_upper_bound,
     enumerate_simplicial_maps,
     format_certificate,
     parse_certificate,
@@ -35,6 +37,7 @@ from topodist.complexes import (
     identity_map,
     lower_star,
 )
+from topodist.mergetree import build_merge_tree, interleaving_distance
 from topodist.persistence import compute_diagrams
 
 from gen import (
@@ -478,6 +481,52 @@ def test_verify_stability_same_domain_linf_certificate():
         cert = identity_certificate(K, eps=linf_distance(f, g))
         assert check_certificate(K, f, K, g, cert).ok
         assert verify_stability(K, f, K, g, cert).ok
+
+
+def test_dht_upper_bound_is_the_least_float_above_the_factor_rule():
+    assert dht_upper_bound(0.8125, 3.0) == 1.21875
+    for factor in (0.5, 1.0, 2.0):
+        assert dht_upper_bound(0.8125, factor) == 0.8125
+    assert dht_upper_bound(0.0, 4.0) == 0.0
+    assert dht_upper_bound(math.inf, 4.0) == math.inf
+    assert dht_upper_bound(1e308, 4.0) == math.inf
+    # 3 * 0.1 / 2 rounds in floats: the bound is the float just above it
+    exact = Fraction(3) * Fraction(0.1) / 2
+    bound = dht_upper_bound(0.1, 3.0)
+    assert Fraction(bound) >= exact > Fraction(math.nextafter(bound, -math.inf))
+
+
+def test_searched_certificates_bound_the_bottleneck_at_every_factor():
+    """At control factors 1-4, max d_B <= dht_upper_bound(eps, k) on every
+    finite search, and so is the merge-tree interleaving where it is exact;
+    at factors above 2 some searches have d_B above the bare eps."""
+    rng = random.Random(11)
+    finite = above_eps = 0
+    for i in range(60):
+        X = random_connected_complex(rng, min_vertices=1, max_vertices=4)
+        Y = coned(rng, X) if i % 2 == 0 else random_complex(rng, max_vertices=5)
+        f, g = random_vertex_function(rng, X.vertex_count), random_vertex_function(rng, Y.vertex_count)
+        top = max(X.dim, Y.dim, 0)
+        dx, dy = (compute_diagrams(lower_star(K, h), top) for K, h in ((X, f), (Y, g)))
+        db = max(bottleneck_distance(a, b)[0] for a, b in zip(dx, dy))
+        lower = db
+        if dx[0].infinite_count() == dy[0].infinite_count() == 1:
+            inter = interleaving_distance(
+                build_merge_tree(lower_star(X, f)), build_merge_tree(lower_star(Y, g))
+            )
+            if inter.exact:
+                lower = max(lower, inter.upper)
+        for factor in (1.0, 2.0, 3.0, 4.0):
+            eps, cert = search_certificate(X, f, Y, g, control_factor=factor)
+            if cert is None:
+                continue
+            finite += 1
+            above_eps += db > eps
+            bound = dht_upper_bound(eps, factor)
+            assert lower <= bound, (i, factor, eps, db, lower)
+            report = verify_stability(X, f, Y, g, cert, max_degree=top)
+            assert report.ok and report.bound == bound
+    assert finite >= 150 and above_eps >= 4, (finite, above_eps)
 
 
 def test_search_certifies_a_rounded_difference_exactly():

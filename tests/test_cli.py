@@ -277,6 +277,26 @@ def test_dht_stability(capsys):
     assert lines[0].startswith("stability0\t1\t1\t0")
 
 
+def test_dht_search_above_factor_2_prints_the_factor_rule_bound(tmp_path, capsys):
+    # at factor 3 the searched eps is 0.8125, below bottleneck0 = 1.1015625;
+    # the certified bound is max(1, 3/2) * eps
+    x, y, cert = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "cert.txt"
+    x.write_text("n 3\n0.9375\n-1.390625\n-0.421875\ns 0 1 2\n", encoding="utf-8")
+    y.write_text(
+        "n 4\n-0.40625\n1.796875\n0.046875\n-0.578125\ns 1 3\ns 0 1 2\n", encoding="utf-8"
+    )
+    argv = ["dht", "search", str(x), str(y), "--factor", "3", "--cert-out", str(cert)]
+    code, out, _ = run(capsys, argv)
+    assert (code, out) == (0, "dht_upper\t1.21875\n")
+    assert "eps 0.8125\nfactor 3\n" in cert.read_text(encoding="utf-8")
+    code, out, _ = run(capsys, ["dht", "stability", str(x), str(y), str(cert)])
+    assert code == 0
+    assert out.splitlines()[0] == "stability0\t1.1015625\t1.21875\t0.1171875"
+    assert out.splitlines()[-1] == "stability_ok\ttrue"
+    code, out, _ = run(capsys, ["dht", "search", "--help"])
+    assert code == 0 and "max(1, k/2)*eps" in " ".join(out.split())
+
+
 def test_dht_stability_failing_certificate_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad_cert.txt"
     bad.write_text(Path(PATH_CERT).read_text().replace("eps 1", "eps 0.5"), encoding="utf-8")

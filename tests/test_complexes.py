@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -248,6 +249,43 @@ def test_trusted_construction_equals_validated():
                 assert fc.level(k) == (tuple(simplices), tuple(key[s][0] for s in simplices))
             assert fc.level(K.dim + 2) == ((), ())
             assert fc.edges == tuple((key[s][0], *s) for s in order if len(s) == 2)
+
+
+def levels_all_at_once(fc):
+    """Every level of ``fc``, built together as before levels were built on
+    demand: one sort by size, then per size a lex sort and a stable sort by
+    value."""
+    f = fc.function.values
+    levels = []
+    for _, group in itertools.groupby(sorted(fc.complex.simplices, key=len), len):
+        simplices = sorted(group)
+        values = [max(f[v] for v in s) for s in simplices]
+        by_value = sorted(range(len(values)), key=values.__getitem__)
+        levels.append(tuple(tuple(seq[i] for i in by_value) for seq in (simplices, values)))
+    return levels
+
+
+def test_levels_built_on_demand_equal_levels_built_together():
+    """Levels read one at a time, in any order, equal the levels built all
+    at once, on random, tied and Freudenthal inputs."""
+    rng = random.Random(2026)
+    for K in _generated_complexes(rng):
+        for values in (random_filtered, tied_filtered):
+            fc = values(rng, K)
+            want = levels_all_at_once(lower_star(K, fc.function))
+            sizes = list(range(1, len(want) + 3))
+            rng.shuffle(sizes)
+            got = {k: fc.level(k) for k in sizes}
+            assert [got[k] for k in range(1, len(want) + 1)] == want
+            assert got[len(want) + 1] == got[len(want) + 2] == ((), ())
+            assert fc.level(0) == fc.level(-1) == ((), ())
+
+
+def test_reading_edges_builds_no_higher_level():
+    fc = random_filtered(random.Random(5), freudenthal_block(3))
+    assert fc.complex.dim == 3
+    assert fc.edges == tuple((t, *s) for s, t in zip(*levels_all_at_once(fc)[1]))
+    assert set(fc._levels) == {2}
 
 
 def test_check_simplicial_identity():
