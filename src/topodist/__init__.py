@@ -65,7 +65,6 @@ from .mergetree import (
     interleaving_distance,
     load_tree,
     parse_tree,
-    save_tree,
 )
 from .persistence import (
     PersistenceDiagram,
@@ -74,7 +73,6 @@ from .persistence import (
     h0_diagram_unionfind,
     load_diagrams,
     parse_diagrams_tsv,
-    save_diagrams,
     shift_diagram,
 )
 

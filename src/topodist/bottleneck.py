@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, permutations
 from typing import Sequence
@@ -309,7 +308,7 @@ def natural_pseudo_upper(
     if k1.vertex_count > NP_VERTEX_GUARD or k2.vertex_count > NP_VERTEX_GUARD:
         raise SizeGuardExceeded(f"isomorphism enumeration limited to {NP_VERTEX_GUARD} vertices")
     n = k1.vertex_count
-    if k2.vertex_count != n or Counter(map(len, k1.simplices)) != Counter(map(len, k2.simplices)):
+    if list(map(len, k1.by_size)) != list(map(len, k2.by_size)):
         return math.inf
     if n == 0:
         return 0.0

@@ -41,7 +41,8 @@ def _trusted(cls, **fields):
 class SimplicialComplex:
     """A finite abstract simplicial complex on vertices 0..vertex_count-1.
 
-    The constructor validates; build_complex returns trusted instances.
+    The constructor validates; build_complex returns trusted instances,
+    with ``by_size`` already set from its levels.
     """
 
     vertex_count: int
@@ -68,7 +69,14 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Dimension of the complex; -1 when empty."""
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return len(self.by_size) - 1
+
+    @cached_property
+    def by_size(self) -> tuple[tuple[Simplex, ...], ...]:
+        """The simplices grouped by size, unsorted, size k at index k - 1;
+        ``()`` when empty.  Face closure leaves no size out below the top."""
+        groups = groupby(sorted(self.simplices, key=len), len)
+        return tuple(tuple(group) for _, group in groups)
 
     @cached_property
     def facets(self) -> tuple[Simplex, ...]:
@@ -143,6 +151,7 @@ def build_complex(
         SimplicialComplex,
         vertex_count=vertex_count,
         simplices=frozenset().union(*levels),
+        by_size=tuple(map(tuple, levels)) if vertex_count else (),
     )
 
 
@@ -219,12 +228,6 @@ class FilteredComplex:
     def __post_init__(self) -> None:
         _require_fits(self.complex, self.function)
 
-    @cached_property
-    def _sizes(self) -> list[list[Simplex]]:
-        """The simplices grouped by size, size k at index k - 1 (face
-        closure leaves no size out)."""
-        return [list(group) for _, group in groupby(sorted(self.complex.simplices, key=len), len)]
-
     def level(self, k: int) -> tuple[tuple[Simplex, ...], tuple[float, ...]]:
         """The simplices of size k in (value, vertex tuple) order, and their
         values by position; empty for k < 1 and above the top dimension.  A
@@ -232,10 +235,11 @@ class FilteredComplex:
         by value."""
         built = self._levels.get(k)
         if built is None:
-            if not 1 <= k <= len(self._sizes):
+            by_size = self.complex.by_size
+            if not 1 <= k <= len(by_size):
                 return ((), ())
             value = self.function.values.__getitem__
-            simplices = sorted(self._sizes[k - 1])
+            simplices = sorted(by_size[k - 1])
             values = list(map(max, map(map, repeat(value), simplices)))
             by_value = sorted(range(len(values)), key=values.__getitem__)
             built = tuple(tuple(map(seq.__getitem__, by_value)) for seq in (simplices, values))

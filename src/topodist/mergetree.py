@@ -400,7 +400,3 @@ def format_tree(tree: MergeTree) -> str:
 def load_tree(path: str | Path) -> MergeTree:
     p = Path(path)
     return parse_tree(p.read_text(encoding="utf-8"), source=str(p))
-
-
-def save_tree(path: str | Path, tree: MergeTree) -> None:
-    Path(path).write_text(format_tree(tree), encoding="utf-8")

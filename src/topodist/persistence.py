@@ -143,8 +143,9 @@ def _reduce_values(complex: SimplicialComplex, value, top: int):
     ``value(s)`` over the sizes up to ``top``, each first pivot the max over
     all facets: a test oracle for filtrations that are no lower star."""
     levels = []
-    for k in range(1, top + 1):
-        simplices = sorted(sorted(s for s in complex.simplices if len(s) == k), key=value)
+    by_size = complex.by_size + ((),) * (top - len(complex.by_size))
+    for group in by_size[:top]:
+        simplices = sorted(sorted(group), key=value)
         levels.append((simplices, list(map(value, simplices))))
     return (levels, *_reduce(levels, _all_facet_lows))
 
@@ -263,7 +264,3 @@ def parse_diagrams_tsv(text: str, source: str = "<string>") -> list[PersistenceD
 def load_diagrams(path: str | Path) -> list[PersistenceDiagram]:
     p = Path(path)
     return parse_diagrams_tsv(p.read_text(encoding="utf-8"), source=str(p))
-
-
-def save_diagrams(path: str | Path, diagrams: list[PersistenceDiagram]) -> None:
-    Path(path).write_text(diagrams_to_tsv(diagrams), encoding="utf-8")

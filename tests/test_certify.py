@@ -88,6 +88,20 @@ def test_point_vs_point_understated_eps():
     assert not outcome.ok and outcome.condition == "shift_phi"
 
 
+def test_certificate_check_is_truthy_exactly_when_ok():
+    """A failing check must be falsy: a dataclass instance without __bool__
+    is always true."""
+    pair, cert = point_edge_setup()
+    passing = check_certificate(*pair, cert)
+    X = build_complex([[0]])
+    failing = check_certificate(
+        X, VertexFunction((0.0,)), X, VertexFunction((1.0,)), identity_certificate(X, eps=0.5)
+    )
+    assert passing.ok and not failing.ok
+    for check in (passing, failing):
+        assert bool(check) is check.ok
+
+
 def test_certificate_monotone_in_eps():
     pair, cert = point_edge_setup()
     for eps in (0.25, 1.0, 7.5):

@@ -281,6 +281,38 @@ def test_levels_built_on_demand_equal_levels_built_together():
             assert fc.level(0) == fc.level(-1) == ((), ())
 
 
+def test_built_complex_hands_over_its_levels():
+    """build_complex stores its per-size levels on the complex, so a built
+    complex never groups its simplices again."""
+    K = build_complex([[0, 1, 2], [2, 3]])
+    assert "by_size" in K.__dict__
+    assert [sorted(group) for group in K.by_size] == [
+        [(0,), (1,), (2,), (3,)],
+        [(0, 1), (0, 2), (1, 2), (2, 3)],
+        [(0, 1, 2)],
+    ]
+
+
+def test_by_size_of_built_and_validated_complexes_agree():
+    """On random, 3-D, isolated-vertex and empty inputs, the levels handed
+    over by build_complex equal the grouping a validated complex derives,
+    size by size as sets; equality and hashing ignore both."""
+    rng = random.Random(26)
+    extra = [build_complex([[1, 3]], vertex_count=6), build_complex([])]
+    for K in [*_generated_complexes(rng), *extra]:
+        V = SimplicialComplex(K.vertex_count, K.simplices)
+        assert "by_size" not in V.__dict__
+        assert list(map(set, K.by_size)) == list(map(set, V.by_size))
+        assert K.dim == V.dim
+        assert K == V and hash(K) == hash(V)
+
+
+def test_empty_complex_has_no_sizes():
+    for K in (build_complex([]), SimplicialComplex(0, frozenset())):
+        assert K.by_size == ()
+        assert K.dim == -1
+
+
 def test_reading_edges_builds_no_higher_level():
     fc = random_filtered(random.Random(5), freudenthal_block(3))
     assert fc.complex.dim == 3
