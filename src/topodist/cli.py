@@ -123,10 +123,15 @@ def cmd_mergetree_interleave(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_dht_check(args: argparse.Namespace) -> int:
+def _load_certified_pair(args: argparse.Namespace):
+    """X, f, Y, g and the certificate named on a `dht` command line."""
     X, f = load_instance(args.file_x)
     Y, g = load_instance(args.file_y)
-    cert = load_certificate(args.certificate, X, Y)
+    return X, f, Y, g, load_certificate(args.certificate, X, Y)
+
+
+def cmd_dht_check(args: argparse.Namespace) -> int:
+    X, f, Y, g, cert = _load_certified_pair(args)
     outcome = check_certificate(X, f, Y, g, cert)
     print(f"cert_ok\t{'true' if outcome.ok else 'false'}")
     if outcome.ok:
@@ -151,9 +156,7 @@ def cmd_dht_search(args: argparse.Namespace) -> int:
 
 
 def cmd_dht_stability(args: argparse.Namespace) -> int:
-    X, f = load_instance(args.file_x)
-    Y, g = load_instance(args.file_y)
-    cert = load_certificate(args.certificate, X, Y)
+    X, f, Y, g, cert = _load_certified_pair(args)
     outcome = check_certificate(X, f, Y, g, cert)
     if not outcome.ok:
         print("cert_ok\tfalse")
@@ -170,9 +173,7 @@ def cmd_dht_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_dht_probe(args: argparse.Namespace) -> int:
-    X, f = load_instance(args.file_x)
-    Y, g = load_instance(args.file_y)
-    cert = load_certificate(args.certificate, X, Y)
+    X, f, Y, g, cert = _load_certified_pair(args)
     report = upshift_asymmetry_probe(X, f, Y, g, cert, args.delta)
     print(f"upshift_ok\t{'true' if report.up.ok else 'false'}")
     print(f"upshift_eps\t{fmt_sig(report.up_eps)}")

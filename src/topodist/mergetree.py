@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bottleneck import bottleneck_distance
 from .common import (
     Bound,
     ParseError,
@@ -127,36 +128,21 @@ def build_merge_tree(fc: FilteredComplex) -> MergeTree:
         if ru == rv:
             continue
         a, b = comp_node[ru], comp_node[rv]
-        ha, hb = heights[a], heights[b]
-        a_at_t, b_at_t = ha == t, hb == t
-        if a_at_t and b_at_t:
-            a_leaf, b_leaf = not children[a], not children[b]
-            if b_leaf:
-                discard(b)
-                merged = a
-            elif a_leaf:
-                discard(a)
-                merged = b
-            else:
-                children[a].extend(children[b])
-                discard(b)
-                merged = a
-        elif a_at_t:
-            if not children[a]:  # zero-persistence branch: vanishes
-                discard(a)
-                merged = b
-            else:
-                children[a].append(b)
-                merged = a
-        elif b_at_t:
-            if not children[b]:
-                discard(b)
-                merged = a
-            else:
-                children[b].append(a)
-                merged = b
-        else:
+        # the node at height t first; of two there, a leaf a goes second
+        if heights[b] == t and (heights[a] != t or not children[a]):
+            a, b = b, a
+        if heights[a] != t:
             merged = new_node(t, [a, b])
+        elif not children[a]:  # zero-persistence branch: vanishes
+            discard(a)
+            merged = b
+        elif heights[b] == t:  # equal-height merge nodes collapse into one
+            children[a].extend(children[b])
+            discard(b)
+            merged = a
+        else:
+            children[a].append(b)
+            merged = a
         uf.parent[rv] = ru
         comp_node[ru] = merged
 
@@ -292,9 +278,7 @@ def _good_map(src: MergeTree, dst: MergeTree, eps: float) -> dict[int, int] | No
     return fwd
 
 
-def check_interleaving(
-    t1: MergeTree, t2: MergeTree, eps: float, node_guard: int = EXACT_NODE_GUARD
-) -> dict[int, int] | None:
+def check_interleaving(t1: MergeTree, t2: MergeTree, eps: float) -> dict[int, int] | None:
     """Decide whether an eps-interleaving of the two trees exists.
 
     By Touli-Wang (ESA 2019) one exists iff an eps-good map t1 -> t2 does.
@@ -304,8 +288,8 @@ def check_interleaving(
     """
     if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if len(t1) > node_guard or len(t2) > node_guard:
-        raise SizeGuardExceeded(f"exact interleaving limited to {node_guard} nodes per tree")
+    if len(t1) > EXACT_NODE_GUARD or len(t2) > EXACT_NODE_GUARD:
+        raise SizeGuardExceeded(f"exact interleaving limited to {EXACT_NODE_GUARD} nodes per tree")
     return _good_map(t1, t2, eps)
 
 
@@ -342,8 +326,6 @@ def interleaving_distance(t1: MergeTree, t2: MergeTree) -> Bound:
     Above the node guard the exhaustive check is not attempted: the result is
     then the bracket Bound(degree-0 bottleneck distance, collapse bound).
     """
-    from .bottleneck import bottleneck_distance  # cycle-free late import
-
     lower, _ = bottleneck_distance(diagram_from_tree(t1), diagram_from_tree(t2))
     if len(t1) > EXACT_NODE_GUARD or len(t2) > EXACT_NODE_GUARD:
         return Bound(lower, _collapse_bound(t1, t2))

@@ -8,7 +8,7 @@ import pytest
 
 import topodist.certify
 from topodist.bottleneck import bottleneck_distance, linf_distance
-from topodist.common import ParseError, SizeGuardExceeded, eps_needed
+from topodist.common import ParseError, SizeGuardExceeded, eps_needed, fmt_value
 from topodist.certify import (
     CONDITIONS,
     DEFAULT_CONTROL_FACTOR,
@@ -602,6 +602,34 @@ def test_certificate_parse_errors():
         parse_certificate("epsilon 0\n", X, Y)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("eps 0\n", 1, "missing certificate sections: phi, psi, chainx, chainy"),
+        ("phi 0\nchainy 1\n0 1\n", 1, "missing certificate sections: eps, psi, chainx"),
+        ("eps 0\nphi 0\npsi 0 0\nchainy 1\n0 1\nchainx 2\n0\n", 1, "truncated chainx section"),
+        ("eps 0\nphi 0\npsi 0 0\nchainx 2\n0\nchainy 1\n0 1\n", 6,
+         "expected an integer, got 'chainy'"),
+        ("# note\n\neps 0\nchainx 1\n0 x\n", 5, "expected an integer, got 'x'"),
+        ("eps 0\nchainx 0\n", 2, "a chain needs at least one map"),
+        ("eps 0\nchainy two\n", 2, "expected an integer, got 'two'"),
+        ("eps x\n", 1, "expected a number, got 'x'"),
+        ("eps 0\nfactor\n", 2, "unrecognized certificate line 'factor'"),
+        ("epsilon 0\n", 1, "unrecognized certificate line 'epsilon'"),
+        ("eps 0\nphi 9\npsi 0 0\nchainx 1\n0\nchainy 1\n0 1\n", 1,
+         "image vertex 9 out of range for the target"),
+        ("eps -1\nphi 0\npsi 0 0\nchainx 1\n0\nchainy 1\n0 1\n", 1,
+         "eps must be finite and non-negative"),
+    ],
+)
+def test_parse_certificate_error_message_and_line(text, line, message):
+    X = build_complex([[0]])
+    Y = build_complex([[0, 1]])
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text, X, Y)
+    assert (info.value.line, info.value.message) == (line, message)
+
+
 def test_condition_names_are_stable():
     assert CONDITIONS == (
         "phi_not_simplicial",
@@ -633,6 +661,26 @@ def searched_pool():
             assert check_certificate(X, f, Y, g, cert).ok
             pool.append((X, f, Y, g, cert))
     return pool
+
+
+def test_searched_eps_is_the_least_float_the_checker_accepts(searched_pool):
+    """At control factors 1-4 on the pool's pairs, every searched certificate
+    with eps > 0 passes at its eps and fails one ulp below under a shift or
+    control condition, whose detail names eps as that side's least eps."""
+    tested = controlled = 0
+    for X, f, Y, g, _ in searched_pool:
+        for factor in (1.0, 2.0, 3.0, 4.0):
+            eps, cert = search_certificate(X, f, Y, g, control_factor=factor)
+            if cert is None or eps == 0.0:
+                continue
+            assert cert.eps == eps and check_certificate(X, f, Y, g, cert).ok
+            below = math.nextafter(eps, 0.0)
+            outcome = check_certificate(X, f, Y, g, replace(cert, eps=below))
+            assert outcome.condition.startswith(("shift_", "control_")), outcome
+            assert outcome.detail.endswith(f" needs eps {fmt_value(eps)} > {fmt_value(below)}")
+            tested += 1
+            controlled += outcome.condition.startswith("control_")
+    assert tested >= 150 and controlled >= 10, (tested, controlled)
 
 
 def _non_simplicial_map(src, dst):

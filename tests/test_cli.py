@@ -218,6 +218,26 @@ def test_dht_check_pass_and_fail(tmp_path, capsys):
     assert "cert_ok\tfalse" in out and "violated\tshift_phi" in out
 
 
+def test_dht_check_prints_the_failing_sides_least_eps(tmp_path, capsys):
+    """The detail line names the least eps the failing map or chain needs
+    and the vertex that sets it."""
+    text = Path(PATH_CERT).read_text()
+    # chain_x detours vertex 0 through vertex 1 (value 2), which needs 2*eps
+    # of control at factor 1 from f(0) = 0
+    detour = text.replace("factor 2", "factor 1").replace(
+        "chainx 1\n0 1 2\n", "chainx 3\n0 1 2\n1 1 2\n0 1 2\n"
+    )
+    cases = [
+        (text.replace("eps 1", "eps 0.5"), "shift_phi", "vertex 0: phi needs eps 1 > 0.5"),
+        (detour, "control_x", "vertex 0: chain_x needs eps 2 > 1"),
+    ]
+    for i, (cert, condition, detail) in enumerate(cases):
+        path = tmp_path / f"cert{i}.txt"
+        path.write_text(cert, encoding="utf-8")
+        code, out, _ = run(capsys, ["dht", "check", PATH_X, PATH_Y, str(path)])
+        assert (code, out) == (1, f"cert_ok\tfalse\nviolated\t{condition}\ndetail\t{detail}\n")
+
+
 def test_dht_search_writes_certificate(tmp_path, capsys):
     cert_out = tmp_path / "cert.txt"
     code, out, _ = run(
